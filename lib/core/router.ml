@@ -301,16 +301,12 @@ let process (t : t) ~(packet : Packet.t) ~(actual_size : int) :
                   match t.duplicates with
                   | None -> true
                   | Some f ->
-                      (* Bloom indexing, not authentication: a collision
-                         costs one false-positive drop. *)
                       Monitor.Duplicate_filter.check_and_insert f ~now
-                        (* lint: allow poly-hash *)
-                        (Hashtbl.hash
-                           ( key.src_as.isd,
-                             key.src_as.num,
-                             key.res_id,
-                             Timebase.Ts.to_int packet.ts,
-                             actual_size ) [@colibri.allow "d3"])
+                        (Monitor.Duplicate_filter.packet_key
+                           ~src_isd:key.src_as.isd ~src_num:key.src_as.num
+                           ~res_id:key.res_id
+                           ~ts:(Timebase.Ts.to_int packet.ts)
+                           ~size:actual_size)
                 in
                 if not fresh then drop Duplicate
                 else if police t ~now ~key ~actual_size then drop Policed
@@ -402,21 +398,19 @@ let process_view (t : t) ~(actual_size : int) : (action, drop_reason) result =
           if not hvf_ok then drop Invalid_hvf
           else begin
             (* Replay suppression [32]: all copies of a seen packet are
-               discarded. The hash tuple keeps the exact shape of the
-               record-based path, so both paths index the same Bloom
-               positions for the same packet. *)
+               discarded. Both router paths key the filter with
+               [packet_key] over the same fields, so they index the
+               same Bloom positions for the same packet. *)
             let fresh =
               match t.duplicates with
               | None -> true
               | Some f ->
                   Monitor.Duplicate_filter.check_and_insert f ~now
-                    (* lint: allow poly-hash *)
-                    (Hashtbl.hash
-                       ( Packet.View.src_isd v,
-                         Packet.View.src_num v,
-                         Packet.View.res_id v,
-                         Timebase.Ts.to_int (Packet.View.ts v),
-                         actual_size ) [@colibri.allow "d3"])
+                    (Monitor.Duplicate_filter.packet_key
+                       ~src_isd:(Packet.View.src_isd v) ~src_num:(Packet.View.src_num v)
+                       ~res_id:(Packet.View.res_id v)
+                       ~ts:(Timebase.Ts.to_int (Packet.View.ts v))
+                       ~size:actual_size)
             in
             if not fresh then drop Duplicate
             else begin

@@ -2,22 +2,29 @@
 
     Colibri needs AES only as a pseudo-random permutation underneath
     CMAC (hop-validation-field MACs, DRKey PRF) and CTR-mode AEAD, all
-    of which use the forward direction exclusively. The implementation
-    is a straightforward byte-oriented rendition of the standard with a
-    precomputed S-box and xtime table; it is validated against the
-    FIPS-197 and SP 800-38A vectors in the test suite.
+    of which use the forward direction exclusively. Validated against
+    the FIPS-197 and SP 800-38A vectors and, differentially, against
+    the reference rendition of the standard kept in the test suite.
 
-    Performance note: the paper's data plane uses AES-NI; here a block
-    costs a few hundred nanoseconds, which uniformly scales down the
-    absolute packet rates of the benchmarks without changing their
-    shape (see DESIGN.md §3). *)
+    This is the 32-bit T-table formulation. The state is four
+    big-endian column words held in local ints; each of rounds 1–9 is
+    sixteen lookups into four 256-entry tables that fold SubBytes,
+    ShiftRows and MixColumns together, XORed with the round key; the
+    last round, which has no MixColumns, reads the S-box. The 44 round
+    keys are ints expanded word-wise, so a block touches no state
+    array and allocates nothing.
 
-type key = { rk : bytes; st : int array; tmp : int array }
-(** Expanded key schedule (11 round keys of 16 bytes, 176 bytes) plus
-    the two 16-cell state arrays {!encrypt_block} works in. Hoisting
-    the state into the key makes a block encryption allocation-free on
-    the wire path (DESIGN.md §8); the price is that one [key] value
-    must not be used from two domains concurrently. *)
+    Performance note: the paper's data plane uses AES-NI; a software
+    block is still about an order of magnitude slower, which uniformly
+    scales down the absolute packet rates of the benchmarks without
+    changing their shape. T-table lookups index memory by secret bytes
+    exactly as an S-box does; see DESIGN.md §3 for the cache-timing
+    stance. *)
+
+type key = int array
+(** The 44 round-key words, each a big-endian 32-bit column in the low
+    bits of an int. {!rekey} overwrites them in place, so one [key]
+    must not be re-keyed while another domain encrypts with it. *)
 
 let block_size = 16
 
@@ -39,117 +46,117 @@ let sbox =
    \xe1\xf8\x98\x11\x69\xd9\x8e\x94\x9b\x1e\x87\xe9\xce\x55\x28\xdf\
    \x8c\xa1\x89\x0d\xbf\xe6\x42\x68\x41\x99\x2d\x0f\xb0\x54\xbb\x16"
 
-(* xtime.[i] = i·2 in GF(2^8) with the AES polynomial. *)
-let xtime =
-  String.init 256 (fun i ->
-      let d = i lsl 1 in
-      Char.chr (if d land 0x100 <> 0 then d lxor 0x11b land 0xff else d))
+(* The S-box, the round constants and the T-tables are immutable
+   strings, so sharing them across router domains needs no review
+   (DESIGN.md §11). *)
+let sub i = Char.code (String.get sbox i)
 
-(* A constant lookup table: written by nobody after initialization,
-   so sharing it across router domains is benign. Reviewed
-   (DESIGN.md §11) — domaincheck cannot prove immutability of an
-   [int array], hence the allow. *)
-let rcon =
-  [| 0x01; 0x02; 0x04; 0x08; 0x10; 0x20; 0x40; 0x80; 0x1b; 0x36 |]
-[@@colibri.allow "d6 d7"]
+(* Round constants of the key schedule, x^(r-1) in GF(2^8). *)
+let rcon = "\x01\x02\x04\x08\x10\x20\x40\x80\x1b\x36"
 
-let sub i = Char.code sbox.[i]
+(* [mul2 s] = s·2 in GF(2^8) with the AES polynomial. *)
+let mul2 s =
+  let d = s lsl 1 in
+  if d land 0x100 <> 0 then d lxor 0x11b else d
+
+(* The four T-tables, 256 little-endian 32-bit entries each, in one
+   string: table [t] starts at byte [1024 * t]. Te0[x] is the
+   MixColumns column of s = S(x) entering in row 0, (2s, s, s, 3s)
+   big-endian; Te_t, for a byte entering in row t, is Te0 rotated
+   right by t bytes. *)
+let tables =
+  String.init 4096 (fun j ->
+      let s = sub ((j lsr 2) land 0xff) in
+      let w = (mul2 s lsl 24) lor (s lsl 16) lor (s lsl 8) lor (mul2 s lxor s) in
+      let r = 8 * (j lsr 10) in
+      let w = ((w lsr r) lor (w lsl (32 - r))) land 0xffffffff in
+      Char.chr ((w lsr (8 * (j land 3))) land 0xff))
+
+(* Entry of table [t] for the byte of [w] at bit position [shift].
+   The entry is sign-extended, not masked to 32 bits: round state only
+   ever has bytes extracted from it (each masked) or its low 32 bits
+   stored, so the high bits are don't-care and the mask would cost two
+   instructions per lookup. *)
+let[@inline] te t w shift =
+  Int32.to_int (String.get_int32_le tables ((t lsl 10) lor (((w lsr shift) land 0xff) lsl 2)))
+
+let[@inline] get_word (b : bytes) off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+let[@inline] put_word (b : bytes) off w = Bytes.set_int32_be b off (Int32.of_int w)
+
+(* The word whose byte in row k (k = 0 the top byte) is the S-box
+   image of row k of the k-th argument: the final round's SubBytes +
+   ShiftRows, and SubWord when all four arguments are one word. *)
+let[@inline] sub_rows a b c d =
+  (sub ((a lsr 24) land 0xff) lsl 24)
+  lor (sub ((b lsr 16) land 0xff) lsl 16)
+  lor (sub ((c lsr 8) land 0xff) lsl 8)
+  lor sub (d land 0xff)
 
 (* Key-schedule core: expand the 16-byte key at [key+off] into [rk]
-   (176 bytes), in place. Shared by [expand] and [rekey]. The loop body
-   is written without helper closures or intermediate tuples: the
-   router re-runs this schedule per EER packet (σ re-derivation), so it
-   must not allocate. *)
+   (44 words), in place. Shared by [expand] and [rekey]; the router
+   re-runs it per EER packet (σ re-derivation), so it must not
+   allocate. *)
 (* hot-path *)
-let expand_into (rk : bytes) (key : bytes) ~(off : int) =
-  Bytes.blit key off rk 0 16;
-  for i = 4 to 43 do
-    let wb = (i * 4) - 16 (* word i-4 *) and pb = (i * 4) - 4 (* word i-1 *) in
-    let w0 = Char.code (Bytes.get rk wb)
-    and w1 = Char.code (Bytes.get rk (wb + 1))
-    and w2 = Char.code (Bytes.get rk (wb + 2))
-    and w3 = Char.code (Bytes.get rk (wb + 3)) in
-    let p0 = Char.code (Bytes.get rk pb)
-    and p1 = Char.code (Bytes.get rk (pb + 1))
-    and p2 = Char.code (Bytes.get rk (pb + 2))
-    and p3 = Char.code (Bytes.get rk (pb + 3)) in
-    if i mod 4 = 0 then begin
-      (* RotWord + SubWord + Rcon *)
-      Bytes.set rk (i * 4) (Char.chr (w0 lxor (sub p1 lxor rcon.((i / 4) - 1))));
-      Bytes.set rk ((i * 4) + 1) (Char.chr (w1 lxor sub p2));
-      Bytes.set rk ((i * 4) + 2) (Char.chr (w2 lxor sub p3));
-      Bytes.set rk ((i * 4) + 3) (Char.chr (w3 lxor sub p0))
-    end
-    else begin
-      Bytes.set rk (i * 4) (Char.chr (w0 lxor p0));
-      Bytes.set rk ((i * 4) + 1) (Char.chr (w1 lxor p1));
-      Bytes.set rk ((i * 4) + 2) (Char.chr (w2 lxor p2));
-      Bytes.set rk ((i * 4) + 3) (Char.chr (w3 lxor p3))
-    end
+let expand_into (rk : int array) (key : bytes) ~(off : int) =
+  rk.(0) <- get_word key off;
+  rk.(1) <- get_word key (off + 4);
+  rk.(2) <- get_word key (off + 8);
+  rk.(3) <- get_word key (off + 12);
+  for r = 1 to 10 do
+    let i = 4 * r in
+    (* SubWord (RotWord w) + Rcon on the previous round's last word *)
+    let w = rk.(i - 1) in
+    let rot = ((w lsl 8) lor (w lsr 24)) land 0xffffffff in
+    let w0 = rk.(i - 4) lxor sub_rows rot rot rot rot lxor (Char.code rcon.[r - 1] lsl 24) in
+    let w1 = rk.(i - 3) lxor w0 in
+    let w2 = rk.(i - 2) lxor w1 in
+    rk.(i) <- w0;
+    rk.(i + 1) <- w1;
+    rk.(i + 2) <- w2;
+    rk.(i + 3) <- rk.(i - 1) lxor w2
   done
 
 (** Expand a 16-byte key into the 11-round-key schedule. *)
 let expand (key : bytes) : key =
   if Bytes.length key <> 16 then invalid_arg "Aes.expand: key must be 16 bytes";
-  let rk = Bytes.create 176 in
+  let rk = Array.make 44 0 in
   expand_into rk key ~off:0;
-  { rk; st = Array.make 16 0; tmp = Array.make 16 0 }
+  rk
 
 let of_secret = expand
 
 (** [rekey k key ~off] re-expands the 16-byte secret at [key+off] into
-    [k]'s existing schedule, reusing its buffers. This is how the router
-    derives the per-reservation σ key without allocating (DESIGN.md §8). *)
+    [k]'s existing schedule. This is how the router derives the
+    per-reservation σ key without allocating (DESIGN.md §8). *)
 (* hot-path *)
 let rekey (k : key) (key : bytes) ~(off : int) =
   (* Caller-contract guard: σ-key offsets come from validated headers. *)
   if off < 0 || off + 16 > Bytes.length key then
     invalid_arg "Aes.rekey: need 16 bytes" [@colibri.allow "d2"];
-  expand_into k.rk key ~off
+  expand_into k key ~off
 
 (** [encrypt_block key ~src ~src_off ~dst ~dst_off] encrypts the
     16-byte block at [src+src_off] into [dst+dst_off]. [src] and [dst]
-    may alias. The state lives in the key's scratch arrays; all heavy
-    inner operations are table lookups. *)
+    may alias: the whole block is read before any byte is written. *)
 (* hot-path *)
-let encrypt_block (k : key) ~(src : bytes) ~src_off ~(dst : bytes) ~dst_off =
-  let rk = k.rk in
-  let s = k.st in
-  for i = 0 to 15 do
-    s.(i) <- Char.code (Bytes.get src (src_off + i)) lxor Char.code (Bytes.get rk i)
+let encrypt_block (rk : key) ~(src : bytes) ~src_off ~(dst : bytes) ~dst_off =
+  let s0 = ref (get_word src src_off lxor rk.(0))
+  and s1 = ref (get_word src (src_off + 4) lxor rk.(1))
+  and s2 = ref (get_word src (src_off + 8) lxor rk.(2))
+  and s3 = ref (get_word src (src_off + 12) lxor rk.(3)) in
+  for r = 1 to 9 do
+    let a = !s0 and b = !s1 and c = !s2 and d = !s3 and i = 4 * r in
+    s0 := te 0 a 24 lxor te 1 b 16 lxor te 2 c 8 lxor te 3 d 0 lxor rk.(i);
+    s1 := te 0 b 24 lxor te 1 c 16 lxor te 2 d 8 lxor te 3 a 0 lxor rk.(i + 1);
+    s2 := te 0 c 24 lxor te 1 d 16 lxor te 2 a 8 lxor te 3 b 0 lxor rk.(i + 2);
+    s3 := te 0 d 24 lxor te 1 a 16 lxor te 2 b 8 lxor te 3 c 0 lxor rk.(i + 3)
   done;
-  let tmp = k.tmp in
-  for round = 1 to 10 do
-    (* SubBytes + ShiftRows combined: tmp.(col*4+row) <- S(s[(col+row)*4+row]) *)
-    for col = 0 to 3 do
-      tmp.((col * 4) + 0) <- sub s.(col * 4);
-      tmp.((col * 4) + 1) <- sub s.((((col + 1) land 3) * 4) + 1);
-      tmp.((col * 4) + 2) <- sub s.((((col + 2) land 3) * 4) + 2);
-      tmp.((col * 4) + 3) <- sub s.((((col + 3) land 3) * 4) + 3)
-    done;
-    if round < 10 then
-      (* MixColumns *)
-      for col = 0 to 3 do
-        let a0 = tmp.(col * 4)
-        and a1 = tmp.((col * 4) + 1)
-        and a2 = tmp.((col * 4) + 2)
-        and a3 = tmp.((col * 4) + 3) in
-        let x v = Char.code xtime.[v] in
-        s.(col * 4) <- x a0 lxor (x a1 lxor a1) lxor a2 lxor a3;
-        s.((col * 4) + 1) <- a0 lxor x a1 lxor (x a2 lxor a2) lxor a3;
-        s.((col * 4) + 2) <- a0 lxor a1 lxor x a2 lxor (x a3 lxor a3);
-        s.((col * 4) + 3) <- (x a0 lxor a0) lxor a1 lxor a2 lxor x a3
-      done
-    else Array.blit tmp 0 s 0 16;
-    (* AddRoundKey *)
-    let base = round * 16 in
-    for i = 0 to 15 do
-      s.(i) <- s.(i) lxor Char.code (Bytes.get rk (base + i))
-    done
-  done;
-  for i = 0 to 15 do
-    Bytes.set dst (dst_off + i) (Char.chr s.(i))
-  done
+  (* Final round: SubBytes + ShiftRows + AddRoundKey, no MixColumns. *)
+  let a = !s0 and b = !s1 and c = !s2 and d = !s3 in
+  put_word dst dst_off (sub_rows a b c d lxor rk.(40));
+  put_word dst (dst_off + 4) (sub_rows b c d a lxor rk.(41));
+  put_word dst (dst_off + 8) (sub_rows c d a b lxor rk.(42));
+  put_word dst (dst_off + 12) (sub_rows d a b c lxor rk.(43))
 
 (** Convenience: encrypt one standalone 16-byte block. *)
 let encrypt (k : key) (block : bytes) : bytes =

@@ -5,42 +5,55 @@
     the segment-reservation tokens (Eq. (3)), the hop authenticators
     (Eq. (4)), and the per-packet hop validation fields (Eq. (6)).
 
-    The key record carries the two working blocks the digest loop needs
-    ([x], [last]) so that {!digest_into} / {!digest_trunc_into} are
+    The key record carries the digest loop's working block [x] and the
+    two subkeys, so that {!digest_into} / {!digest_trunc_into} are
     allocation-free; see DESIGN.md §8 for the scratch-ownership rules.
-    A consequence is that one [key] must not be shared across domains. *)
+    A consequence is that one [key] must not be shared across domains.
 
-type key = { aes : Aes.key; k1 : bytes; k2 : bytes; x : bytes; last : bytes }
+    Blocks are combined eight bytes at a time (a partial last block in
+    8-, 4- and 1-byte steps). XOR is bytewise, so these native-endian
+    loads and stores need no byte order; only the subkey doublings
+    read L as big-endian words. *)
 
-let msb_set b = Char.code (Bytes.get b 0) land 0x80 <> 0
+type key = { aes : Aes.key; sub : bytes; x : bytes }
+(* [sub] is K1 ‖ K2 (32 bytes); [x] is the running CBC block, which
+   holds the tag after [digest_core]. *)
 
-(* Left-shift the 16-byte block [src] by one bit into [dst] (may alias). *)
-let shl1_into ~(src : bytes) ~(dst : bytes) =
-  let carry = ref 0 in
-  for i = 15 downto 0 do
-    let v = Char.code (Bytes.get src i) in
-    Bytes.set dst i (Char.chr (((v lsl 1) land 0xff) lor !carry));
-    carry := v lsr 7
-  done
+(* [dst+d, dst+d+8) ^= [src+s, src+s+8). *)
+let xor8 (dst : bytes) d (src : bytes) s =
+  Bytes.set_int64_ne dst d (Int64.logxor (Bytes.get_int64_ne dst d) (Bytes.get_int64_ne src s))
 
-let xor_last_byte b v =
-  Bytes.set b 15 (Char.chr (Char.code (Bytes.get b 15) lxor v))
+(* [dst+d, dst+d+4) ^= [src+s, src+s+4). *)
+let xor4 (dst : bytes) d (src : bytes) s =
+  Bytes.set_int32_ne dst d (Int32.logxor (Bytes.get_int32_ne dst d) (Bytes.get_int32_ne src s))
 
-(* Subkey generation per RFC 4493 §2.3, writing into existing [k1]/[k2]
-   buffers. [scratch] holds the intermediate L = AES_K(0^128). *)
-let derive_subkeys_into aes ~(k1 : bytes) ~(k2 : bytes) ~(scratch : bytes) =
-  Bytes.fill scratch 0 16 '\000';
-  Aes.encrypt_block aes ~src:scratch ~src_off:0 ~dst:scratch ~dst_off:0;
-  shl1_into ~src:scratch ~dst:k1;
-  if msb_set scratch then xor_last_byte k1 0x87;
-  shl1_into ~src:k1 ~dst:k2;
-  if msb_set k1 then xor_last_byte k2 0x87
+let get_word (b : bytes) off = Int32.to_int (Bytes.get_int32_be b off) land 0xffffffff
+let put_word (b : bytes) off w = Bytes.set_int32_be b off (Int32.of_int w)
+
+(* One doubling in GF(2^128) of the 128-bit big-endian value [w0..w3]
+   (32-bit words), written at [dst+off]: a one-bit left shift with the
+   0x87 reduction when the top bit falls out (RFC 4493 §2.3). *)
+let put_double (dst : bytes) off w0 w1 w2 w3 =
+  put_word dst off (((w0 lsl 1) lor (w1 lsr 31)) land 0xffffffff);
+  put_word dst (off + 4) (((w1 lsl 1) lor (w2 lsr 31)) land 0xffffffff);
+  put_word dst (off + 8) (((w2 lsl 1) lor (w3 lsr 31)) land 0xffffffff);
+  put_word dst (off + 12) (((w3 lsl 1) land 0xffffffff) lxor (0x87 * (w0 lsr 31)))
+
+(* Subkey generation per RFC 4493 §2.3 into [k.sub]: L = AES_K(0^128)
+   in [k.x], K1 = L·x, K2 = K1·x. *)
+(* hot-path *)
+let derive_subkeys (k : key) =
+  let x = k.x and sub = k.sub in
+  Bytes.set_int64_ne x 0 0L;
+  Bytes.set_int64_ne x 8 0L;
+  Aes.encrypt_block k.aes ~src:x ~src_off:0 ~dst:x ~dst_off:0;
+  put_double sub 0 (get_word x 0) (get_word x 4) (get_word x 8) (get_word x 12);
+  put_double sub 16 (get_word sub 0) (get_word sub 4) (get_word sub 8) (get_word sub 12)
 
 let of_aes_key (aes : Aes.key) : key =
-  let k1 = Bytes.create 16 and k2 = Bytes.create 16 in
-  let x = Bytes.create 16 and last = Bytes.create 16 in
-  derive_subkeys_into aes ~k1 ~k2 ~scratch:x;
-  { aes; k1; k2; x; last }
+  let k = { aes; sub = Bytes.create 32; x = Bytes.create 16 } in
+  derive_subkeys k;
+  k
 
 let of_secret (secret : bytes) : key = of_aes_key (Aes.of_secret secret)
 
@@ -51,7 +64,7 @@ let of_secret (secret : bytes) : key = of_aes_key (Aes.of_secret secret)
 (* hot-path *)
 let rekey (k : key) (secret : bytes) ~(off : int) =
   Aes.rekey k.aes secret ~off;
-  derive_subkeys_into k.aes ~k1:k.k1 ~k2:k.k2 ~scratch:k.x
+  derive_subkeys k
 
 let mac_size = 16
 
@@ -65,40 +78,33 @@ let digest_core (k : key) (msg : bytes) ~(off : int) ~(len : int) =
     invalid_arg "Cmac.digest: span out of bounds" [@colibri.allow "d2"];
   let nblocks = if len = 0 then 1 else (len + 15) / 16 in
   let x = k.x in
-  Bytes.fill x 0 16 '\000';
+  Bytes.set_int64_ne x 0 0L;
+  Bytes.set_int64_ne x 8 0L;
   (* Process all complete blocks except the last. *)
   for i = 0 to nblocks - 2 do
-    for j = 0 to 15 do
-      Bytes.set x j
-        (Char.chr
-           (Char.code (Bytes.get x j)
-           lxor Char.code (Bytes.get msg (off + (i * 16) + j))))
-    done;
+    xor8 x 0 msg (off + (i * 16));
+    xor8 x 8 msg (off + (i * 16) + 8);
     Aes.encrypt_block k.aes ~src:x ~src_off:0 ~dst:x ~dst_off:0
   done;
   (* Last block: complete → xor K1; partial → pad 10* and xor K2. *)
   let boff = off + ((nblocks - 1) * 16) in
   let rem = len - ((nblocks - 1) * 16) in
-  let last = k.last in
-  Bytes.fill last 0 16 '\000';
   if rem = 16 then begin
-    Bytes.blit msg boff last 0 16;
-    for j = 0 to 15 do
-      Bytes.set last j
-        (Char.chr (Char.code (Bytes.get last j) lxor Char.code (Bytes.get k.k1 j)))
-    done
+    xor8 x 0 msg boff;
+    xor8 x 8 msg (boff + 8);
+    xor8 x 0 k.sub 0;
+    xor8 x 8 k.sub 8
   end
   else begin
-    if rem > 0 then Bytes.blit msg boff last 0 rem;
-    Bytes.set last rem '\x80';
-    for j = 0 to 15 do
-      Bytes.set last j
-        (Char.chr (Char.code (Bytes.get last j) lxor Char.code (Bytes.get k.k2 j)))
-    done
+    xor8 x 0 k.sub 16;
+    xor8 x 8 k.sub 24;
+    let j = if rem >= 8 then (xor8 x 0 msg boff; 8) else 0 in
+    let j = if rem - j >= 4 then (xor4 x j msg (boff + j); j + 4) else j in
+    for j = j to rem - 1 do
+      Bytes.set x j (Char.chr (Char.code (Bytes.get x j) lxor Char.code (Bytes.get msg (boff + j))))
+    done;
+    Bytes.set x rem (Char.chr (Char.code (Bytes.get x rem) lxor 0x80))
   end;
-  for j = 0 to 15 do
-    Bytes.set x j (Char.chr (Char.code (Bytes.get x j) lxor Char.code (Bytes.get last j)))
-  done;
   Aes.encrypt_block k.aes ~src:x ~src_off:0 ~dst:x ~dst_off:0
 
 (** [digest_into k msg ~off ~len ~dst ~dst_off] writes the 16-byte CMAC

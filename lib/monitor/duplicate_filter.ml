@@ -76,17 +76,25 @@ let maybe_rotate (t : t) ~now =
     t.inserted <- 0
   end
 
-(* Double hashing: h_i = h1 + i*h2, standard Bloom technique. The
-   seeded polymorphic hash is intentional here: Bloom indexing needs a
-   fast non-cryptographic spread, not authentication — a collision only
-   costs a bounded false-positive drop, never a forged acceptance. *)
-let h1_of (key : int) =
-  (* lint: allow poly-hash *)
-  (Hashtbl.hash (key, 0x9e3779b9) [@colibri.allow "d3"])
+(* 63-bit multiply-xorshift finalizer. Each step (xorshift right,
+   multiplication by an odd constant mod 2^63) is a bijection on [int],
+   so distinct inputs stay distinct and every output bit depends on
+   every input bit. *)
+let fmix (h : int) : int =
+  let h = (h lxor (h lsr 31)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 29)) * 0x14d049bb133111eb in
+  h lxor (h lsr 32)
 
-let h2_of (key : int) =
-  (* lint: allow poly-hash *)
-  ((Hashtbl.hash (key, 0x85ebca6b) [@colibri.allow "d3"]) lor 1) land max_int
+(** [packet_key] mixes the (SrcAS, ResId, Ts, PktSize) identifier of a
+    packet into one 63-bit key, with integer arithmetic only. Two
+    distinct identifiers share a key with probability ~2^-63, so a
+    window of honest packets never trips the filter through the key
+    (with a 30-bit key, a window of ~46k packets held a colliding pair
+    more often than not). It is unkeyed: the router consults the filter
+    only after the packet's HVF has verified, so every identifier it
+    sees was authenticated by its own source. *)
+let packet_key ~src_isd ~src_num ~res_id ~ts ~size =
+  fmix (fmix (fmix (fmix (fmix src_isd lxor src_num) lxor res_id) lxor ts) lxor size)
 
 (* [land max_int], not [abs]: [abs min_int] is [min_int], so an
    overflowing sum would produce a negative [mod] and an out-of-bounds
@@ -111,7 +119,12 @@ let rec set_all (t : t) ~h1 ~h2 (i : int) : unit =
     duplicate to be discarded. *)
 let check_and_insert (t : t) ~(now : float) (key : int) : bool =
   maybe_rotate t ~now;
-  let h1 = h1_of key and h2 = h2_of key in
+  (* Double hashing, h_i = h1 + i*h2 (the standard Bloom technique):
+     h1 and h2 are the two halves of the re-mixed key, which spreads
+     callers' plain integer keys as well as [packet_key]s; h2 is odd,
+     so the probes never collapse onto one position. *)
+  let h = fmix key in
+  let h1 = h land 0xffffffff and h2 = (h lsr 32) lor 1 in
   let in_current = all_set t t.current ~h1 ~h2 0 in
   let in_previous = all_set t t.previous ~h1 ~h2 0 in
   if in_current || in_previous then false

@@ -14,6 +14,13 @@ val create : expected:int -> fp_rate:float -> window:float -> now:float -> t
 (** Size the filters for [expected] packets per [window] seconds at
     false-positive rate [fp_rate]. *)
 
+val packet_key : src_isd:int -> src_num:int -> res_id:int -> ts:int -> size:int -> int
+(** The filter key of a packet: its (SrcAS, ResId, Ts, PktSize)
+    identifier mixed into 63 bits by an allocation-free integer hash
+    (distinct identifiers collide with probability ~2^-63). Unkeyed,
+    because the router checks for duplicates only after the HVF
+    has verified. *)
+
 val check_and_insert : t -> now:float -> int -> bool
 (** [true] when the key is fresh (first sighting in the window), which
     also records it; [false] flags a duplicate to be discarded. *)

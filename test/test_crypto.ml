@@ -1,6 +1,8 @@
 (** Tests for the crypto substrate: AES-128 against FIPS-197 /
     SP 800-38A vectors, AES-CMAC against RFC 4493, AEAD round-trips and
-    tamper detection, plus property-based checks. *)
+    tamper detection, plus property-based checks — among them a
+    differential oracle pinning the T-table cipher and the word-wise
+    CMAC to the byte-oriented reference AES in aes_ref.ml. *)
 
 open Crypto
 
@@ -144,6 +146,91 @@ let prop_cmac_distinct_keys =
       and k2 = Cmac.of_secret (Bytes.make 16 'b') in
       not (Bytes.equal (Cmac.digest k1 msg) (Cmac.digest k2 msg)))
 
+(* Differential oracle. [ref_cmac] is RFC 4493 written out bytewise
+   over the reference AES, with fresh buffers everywhere. *)
+
+let ref_cmac (secret : bytes) (msg : bytes) : bytes =
+  let k = Aes_ref.expand secret in
+  let byte b i = Char.code (Bytes.get b i) in
+  let xor a b = Bytes.init 16 (fun i -> Char.chr (byte a i lxor byte b i)) in
+  let dbl b =
+    Bytes.init 16 (fun i ->
+        let next = if i = 15 then 0 else byte b (i + 1) lsr 7 in
+        let red = if i = 15 && byte b 0 land 0x80 <> 0 then 0x87 else 0 in
+        Char.chr (((byte b i lsl 1) land 0xff) lor next lxor red))
+  in
+  let k1 = dbl (Aes_ref.encrypt k (Bytes.make 16 '\000')) in
+  let k2 = dbl k1 in
+  let len = Bytes.length msg in
+  let n = if len = 0 then 1 else (len + 15) / 16 in
+  let x = ref (Bytes.make 16 '\000') in
+  for i = 0 to n - 1 do
+    let m = min 16 (len - (i * 16)) in
+    let blk = Bytes.make 16 '\000' in
+    Bytes.blit msg (i * 16) blk 0 m;
+    let blk =
+      if i < n - 1 then blk
+      else if m = 16 then xor blk k1
+      else begin
+        Bytes.set blk m '\x80';
+        xor blk k2
+      end
+    in
+    x := Aes_ref.encrypt k (xor !x blk)
+  done;
+  !x
+
+let bytes_of_len n = QCheck2.Gen.(map Bytes.of_string (string_size ~gen:char (return n)))
+
+let prop_aes_matches_reference =
+  QCheck2.Test.make ~name:"aes: encrypt_block = reference (offsets, src == dst)"
+    ~count:1000
+    QCheck2.Gen.(
+      tup4 (bytes_of_len 16) (bytes_of_len 48) (pair (0 -- 32) (0 -- 32)) bool)
+    (fun (key, buf, (src_off, dst_off), alias) ->
+      let block = Bytes.sub buf src_off 16 in
+      let ct = Bytes.create 16 in
+      Aes_ref.encrypt_block (Aes_ref.expand key) ~src:block ~src_off:0 ~dst:ct ~dst_off:0;
+      (* Expected destination buffer: its old bytes with the
+         ciphertext at [dst_off] and nothing else touched. *)
+      let dst = if alias then buf else Bytes.make 48 '\000' in
+      let expect = Bytes.copy dst in
+      Bytes.blit ct 0 expect dst_off 16;
+      Aes.encrypt_block (Aes.expand key) ~src:buf ~src_off ~dst ~dst_off;
+      Bytes.equal dst expect)
+
+let prop_aes_rekey_matches_expand =
+  QCheck2.Test.make ~name:"aes: rekey = expand" ~count:1000
+    QCheck2.Gen.(tup4 (bytes_of_len 16) (bytes_of_len 40) (0 -- 24) (bytes_of_len 16))
+    (fun (old, secrets, off, block) ->
+      let k = Aes.expand old in
+      Aes.rekey k secrets ~off;
+      let secret = Bytes.sub secrets off 16 in
+      let ct = Aes.encrypt k block in
+      Bytes.equal ct (Aes.encrypt (Aes.expand secret) block)
+      && Bytes.equal ct (Aes_ref.encrypt (Aes_ref.expand secret) block))
+
+let prop_cmac_rekey_matches_of_secret =
+  QCheck2.Test.make ~name:"cmac: rekey + digest = of_secret + digest = reference"
+    ~count:1000
+    QCheck2.Gen.(
+      tup4
+        (pair (bytes_of_len 16) (bytes_of_len 40))
+        (0 -- 24)
+        (0 -- 64 >>= fun len -> pair (return len) (0 -- 8))
+        (bytes_of_len 72))
+    (fun ((old, secrets), off, (len, msg_off), buf) ->
+      let k = Cmac.of_secret old in
+      Cmac.rekey k secrets ~off;
+      let secret = Bytes.sub secrets off 16 in
+      let msg = Bytes.sub buf msg_off len in
+      let expect = ref_cmac secret msg in
+      let span = Bytes.create 20 in
+      Cmac.digest_into k buf ~off:msg_off ~len ~dst:span ~dst_off:4;
+      Bytes.equal (Cmac.digest k msg) expect
+      && Bytes.equal (Cmac.digest (Cmac.of_secret secret) msg) expect
+      && Bytes.equal (Bytes.sub span 4 16) expect)
+
 let prop_aead_roundtrip =
   QCheck2.Test.make ~name:"aead: seal/open roundtrip" ~count:200
     QCheck2.Gen.(pair bytes_gen bytes_gen)
@@ -171,6 +258,9 @@ let suite =
     Alcotest.test_case "AEAD rejects tampering" `Quick aead_rejects_tampering;
     Alcotest.test_case "AEAD empty plaintext" `Quick aead_empty_plaintext;
     Alcotest.test_case "hex helpers" `Quick hex_roundtrip;
+    QCheck_alcotest.to_alcotest prop_aes_matches_reference;
+    QCheck_alcotest.to_alcotest prop_aes_rekey_matches_expand;
+    QCheck_alcotest.to_alcotest prop_cmac_rekey_matches_of_secret;
     QCheck_alcotest.to_alcotest prop_cmac_deterministic;
     QCheck_alcotest.to_alcotest prop_cmac_distinct_keys;
     QCheck_alcotest.to_alcotest prop_aead_roundtrip;

@@ -118,74 +118,167 @@ let prop_view_differential =
 
 (* ---------- GC regression: the warmed fast path must not allocate ---- *)
 
-(* The probe topology: a 3-hop path through AS (1,2) carrying a valid
-   SegR packet; the bare router (no OFD, no duplicate filter) must
-   validate and route it without touching the minor heap. *)
-let seg_packet_and_router () =
-  let path =
-    [
-      Path.hop ~asn:(Ids.asn ~isd:1 ~num:1) ~ingress:0 ~egress:2;
-      Path.hop ~asn:(Ids.asn ~isd:1 ~num:2) ~ingress:1 ~egress:2;
-      Path.hop ~asn:(Ids.asn ~isd:1 ~num:3) ~ingress:1 ~egress:0;
-    ]
-  in
-  let res_info : Packet.res_info =
-    {
-      src_as = Ids.asn ~isd:1 ~num:1;
-      res_id = 7;
-      bw = Bandwidth.of_gbps 100.;
-      exp_time = 1e9;
-      version = 1;
-    }
-  in
-  let secret = Hvf.as_secret_of_material (Bytes.make 16 'R') in
-  let hop = List.nth path 1 in
+(* The probe topology: a 3-hop path through AS (1,2) carrying valid
+   SegR and EER packets for reservation 7 of AS (1,1). *)
+let probe_path =
+  [
+    Path.hop ~asn:(Ids.asn ~isd:1 ~num:1) ~ingress:0 ~egress:2;
+    Path.hop ~asn:(Ids.asn ~isd:1 ~num:2) ~ingress:1 ~egress:2;
+    Path.hop ~asn:(Ids.asn ~isd:1 ~num:3) ~ingress:1 ~egress:0;
+  ]
+
+let probe_res_info : Packet.res_info =
+  {
+    src_as = Ids.asn ~isd:1 ~num:1;
+    res_id = 7;
+    bw = Bandwidth.of_gbps 100.;
+    exp_time = 1e9;
+    version = 1;
+  }
+
+let probe_secret = Hvf.as_secret_of_material (Bytes.make 16 'R')
+
+(* A SegR packet with timestamp [ts] whose HVF verifies at AS (1,2). *)
+let seg_raw ts =
+  let hop = List.nth probe_path 1 in
   let hvfs =
     Array.init 3 (fun j ->
-        if j = 1 then Hvf.seg_token secret ~res_info ~hop
+        if j = 1 then Hvf.seg_token probe_secret ~res_info:probe_res_info ~hop
         else Bytes.make Packet.hvf_len 'x')
   in
-  let raw =
-    Packet.to_bytes
-      {
-        Packet.kind = Packet.Seg;
-        path;
-        res_info;
-        eer_info = None;
-        ts = Timebase.Ts.of_int 1_000_000;
-        hvfs;
-        payload_len = 0;
-      }
-  in
-  let router =
-    Router.create ~freshness_window:1e12 ~ofd:`None ~duplicates:`None ~secret
-      ~clock:(fun () -> 0.)
-      (Ids.asn ~isd:1 ~num:2)
-  in
-  (raw, router)
+  Packet.to_bytes
+    {
+      Packet.kind = Packet.Seg;
+      path = probe_path;
+      res_info = probe_res_info;
+      eer_info = None;
+      ts = Timebase.Ts.of_int ts;
+      hvfs;
+      payload_len = 0;
+    }
 
-let router_fast_path_zero_alloc () =
-  let raw, router = seg_packet_and_router () in
-  let run () =
-    match Router.process_bytes router ~raw ~payload_len:0 with
-    | Ok Router.To_cserv -> ()
-    | _ -> Alcotest.fail "SegR packet not accepted"
-  in
-  (* Warm up: lazy one-time work (first parse, table internals). *)
+(* The router of AS (1,2), without OFD; [duplicates] picks the filter. *)
+let probe_router duplicates =
+  Router.create ~freshness_window:1e12 ~ofd:`None ~duplicates ~secret:probe_secret
+    ~clock:(fun () -> 0.)
+    (Ids.asn ~isd:1 ~num:2)
+
+(* Run [f] 1k times to warm up lazy one-time work, then 10k times, and
+   fail if the second batch touched the minor heap. The slack covers
+   only the boxed floats of the two [Gc.minor_words] reads; 10k calls
+   at even 1 word each would blow far past it. *)
+let assert_zero_alloc what f =
   for _ = 1 to 1_000 do
-    run ()
+    f ()
   done;
   let before = Gc.minor_words () in
   let n = 10_000 in
   for _ = 1 to n do
-    run ()
+    f ()
   done;
   let delta = Gc.minor_words () -. before in
-  (* Slack covers only the boxed floats of the two [Gc.minor_words]
-     reads; 10k packets at even 1 word each would blow far past it. *)
-  if delta > 64. then
-    Alcotest.failf "router fast path allocated %.0f minor words over %d packets"
-      delta n
+  if delta > 64. then Alcotest.failf "%s allocated %.0f minor words over %d calls" what delta n
+
+let router_fast_path_zero_alloc () =
+  (* The bare router (no OFD, no duplicate filter) must validate and
+     route a SegR packet without touching the minor heap. *)
+  let raw = seg_raw 1_000_000 and router = probe_router `None in
+  assert_zero_alloc "router fast path" (fun () ->
+      match Router.process_bytes router ~raw ~payload_len:0 with
+      | Ok Router.To_cserv -> ()
+      | _ -> Alcotest.fail "SegR packet not accepted")
+
+(* ---------- 0-alloc pins on the crypto hot path ---------------------- *)
+
+let aes_block_zero_alloc () =
+  let k = Crypto.Aes.of_secret (Bytes.make 16 'a') and b = Bytes.make 32 'b' in
+  assert_zero_alloc "Aes.encrypt_block" (fun () ->
+      Crypto.Aes.encrypt_block k ~src:b ~src_off:3 ~dst:b ~dst_off:16)
+
+let cmac_rekey_zero_alloc () =
+  let k = Crypto.Cmac.of_secret (Bytes.make 16 'c')
+  and secrets = Bytes.init 40 (fun i -> Char.chr (i * 37 land 0xff)) in
+  let i = ref 0 in
+  assert_zero_alloc "Cmac.rekey" (fun () ->
+      i := (!i + 1) land 15;
+      Crypto.Cmac.rekey k secrets ~off:!i)
+
+let cmac_digest_trunc_zero_alloc () =
+  let k = Crypto.Cmac.of_secret (Bytes.make 16 'd')
+  and msg = Bytes.make 48 'm'
+  and dst = Bytes.create 4 in
+  assert_zero_alloc "Cmac.digest_trunc_into" (fun () ->
+      (* 12 bytes: the Eq. (6) input, one padded block; 48 bytes: the
+         Eq. (4) input, three complete blocks. *)
+      Crypto.Cmac.digest_trunc_into k msg ~off:0 ~len:12 ~dst ~dst_off:0 ~tag_len:4;
+      Crypto.Cmac.digest_trunc_into k msg ~off:0 ~len:48 ~dst ~dst_off:0 ~tag_len:4)
+
+let hvf_eer_check_zero_alloc () =
+  let hop = List.nth probe_path 1 in
+  let eer_info : Packet.eer_info = { src_host = Ids.host 1; dst_host = Ids.host 2 } in
+  let ts = Timebase.Ts.of_int 1_000_000 and pkt_size = Packet.header_len ~hops:3 in
+  let sigma =
+    Hvf.sigma_of_bytes (Hvf.hop_auth probe_secret ~res_info:probe_res_info ~eer_info ~hop)
+  in
+  let hvfs =
+    Array.init 3 (fun j ->
+        if j = 1 then Hvf.eer_hvf sigma ~ts ~pkt_size else Bytes.make Packet.hvf_len 'x')
+  in
+  let raw =
+    Packet.to_bytes
+      {
+        Packet.kind = Packet.Eer;
+        path = probe_path;
+        res_info = probe_res_info;
+        eer_info = Some eer_info;
+        ts;
+        hvfs;
+        payload_len = 0;
+      }
+  in
+  let v = Packet.View.create () and scr = Hvf.scratch () in
+  (match Packet.View.parse v raw with
+  | Ok () -> ()
+  | Error _ -> Alcotest.fail "EER probe packet does not parse");
+  Alcotest.(check int) "probe packet size" pkt_size (Bytes.length raw);
+  assert_zero_alloc "Hvf.eer_check" (fun () ->
+      if not (Hvf.eer_check probe_secret scr v ~hop:1 ~pkt_size) then
+        Alcotest.fail "EER probe packet rejected")
+
+(* ---------- Duplicate filter key ------------------------------------- *)
+
+let dedup_distinct_packets_pass () =
+  (* Regression: the router keyed its duplicate filter with the 30-bit
+     [Hashtbl.hash] of (src ISD, src num, res id, ts, size), so two
+     distinct packets whose tuples collided under it were dropped as
+     duplicates — 1–2 honest packets in 60k. Birthday-search a pair of
+     timestamps that collide under that old key (~2^15 draws) and send
+     both through a router with the default filter. *)
+  let size = Bytes.length (seg_raw 1) in
+  let old_key ts = Hashtbl.hash (1, 1, 7, ts, size) in
+  let seen = Hashtbl.create 65_536 in
+  let rec search ts =
+    let k = old_key ts in
+    match Hashtbl.find_opt seen k with
+    | Some earlier -> (earlier, ts)
+    | None ->
+        Hashtbl.add seen k ts;
+        search (ts + 1)
+  in
+  let ts_a, ts_b = search 1 in
+  let router = probe_router `Default in
+  let send ts = Router.process_bytes router ~raw:(seg_raw ts) ~payload_len:0 in
+  List.iter
+    (fun ts ->
+      match send ts with
+      | Ok Router.To_cserv -> ()
+      | Ok _ -> Alcotest.failf "ts %d: unexpected action" ts
+      | Error r -> Alcotest.failf "ts %d dropped: %a" ts Router.pp_drop_reason r)
+    [ ts_a; ts_b ];
+  (* A true replay of either is still caught. *)
+  match send ts_b with
+  | Error Router.Duplicate -> ()
+  | _ -> Alcotest.fail "replay not dropped as Duplicate"
 
 (* ---------- Gateway wire path: send_bytes ≡ send, byte for byte ----- *)
 
@@ -254,6 +347,13 @@ let suite =
     QCheck_alcotest.to_alcotest prop_view_differential;
     Alcotest.test_case "router fast path: 0 minor words/packet" `Quick
       router_fast_path_zero_alloc;
+    Alcotest.test_case "Aes.encrypt_block: 0 minor words" `Quick aes_block_zero_alloc;
+    Alcotest.test_case "Cmac.rekey: 0 minor words" `Quick cmac_rekey_zero_alloc;
+    Alcotest.test_case "Cmac.digest_trunc_into: 0 minor words" `Quick
+      cmac_digest_trunc_zero_alloc;
+    Alcotest.test_case "Hvf.eer_check: 0 minor words" `Quick hvf_eer_check_zero_alloc;
+    Alcotest.test_case "dup filter: distinct packets with colliding 30-bit keys pass"
+      `Quick dedup_distinct_packets_pass;
     Alcotest.test_case "gateway send_bytes ≡ send (byte-identical)" `Quick
       gateway_send_bytes_differential;
     Alcotest.test_case "gateway send_bytes drop verdicts" `Quick

@@ -74,6 +74,49 @@ let attack_detection_ceiling = 1.0
 let attack_amplification_key = "attack_amplification_x"
 let attack_amplification_ceiling = 1.5
 
+(* The allocation ratchet ([bench/main.exe gc], DESIGN.md §8): minor
+   words per packet on the wire path, as last refreshed. The counts are
+   deterministic — no timing enters them — so the gate needs no noise
+   margin: a ledger value above its ceiling is a new allocation on the
+   per-packet path. A [*_minor_words_per_pkt] key the table does not
+   list fails too, so a new wire-path row cannot ship ungated. Lower a
+   ceiling when a change removes an allocation. *)
+let alloc_suffix = "_minor_words_per_pkt"
+
+let alloc_ceilings =
+  [
+    ("router_bare_minor_words_per_pkt", 4.);
+    ("router_monitored_minor_words_per_pkt", 54.);
+    ("gateway_minor_words_per_pkt", 39.);
+    ("gateway_1500b_minor_words_per_pkt", 45.);
+  ]
+
+let check_alloc (summary : (string * float) list) : string list =
+  let over =
+    List.filter_map
+      (fun (key, ceiling) ->
+        match List.assoc_opt key summary with
+        | None ->
+            Some
+              (Printf.sprintf "missing key [%s]: the allocation ratchet must stay in the ledger"
+                 key)
+        | Some x when x > ceiling ->
+            Some
+              (Printf.sprintf "%s = %.3f > %.0f: the wire path allocates more per packet" key x
+                 ceiling)
+        | Some _ -> None)
+      alloc_ceilings
+  in
+  let ungated =
+    List.filter_map
+      (fun (key, _) ->
+        if String.ends_with ~suffix:alloc_suffix key && not (List.mem_assoc key alloc_ceilings)
+        then Some (Printf.sprintf "key [%s] has no allocation ceiling in benchgate" key)
+        else None)
+      summary
+  in
+  over @ ungated
+
 let read_file (path : string) : string =
   let ic = open_in_bin path in
   Fun.protect
@@ -164,6 +207,11 @@ let () =
       if not (List.mem_assoc key summary) then
         fail "missing key [%s]: the 1/2/4-worker scaling curve must stay in the ledger" key)
     curve_keys;
+  (match check_alloc summary with
+  | [] ->
+      Printf.printf "benchgate: %d allocation keys within their ceilings\n"
+        (List.length alloc_ceilings)
+  | fs -> List.iter (fun m -> failures := m :: !failures) fs);
   (match List.assoc_opt scaling_key summary with
   | None -> fail "missing key [%s]" scaling_key
   | Some x when x < scaling_floor ->
