@@ -227,11 +227,9 @@ let fig6 () =
   record_metrics "fig6/gateway" (Obs.Registry.snapshot (Colibri.Gateway.metrics gw_rig.gateway));
   record_metrics "fig6/border_router"
     (Obs.Registry.snapshot (Colibri.Router.metrics br_rig.router));
-  (* Sharding overhead: route the send through the sharded dispatcher
-     and compare; the shards are shared-nothing, so k cores run k
-     dispatch-free shards in parallel (DESIGN.md §3: this container has
-     one core; the k-core numbers below are the measured per-shard rate
-     times k, the shared-nothing linear model the paper confirms). *)
+  (* The k-core columns are the measured single-instance rate times k,
+     the shared-nothing linear model the paper confirms (DESIGN.md §3).
+     The router's measured multicore curve is the [par] mode. *)
   Printf.printf "%-8s %-22s %-22s\n" "cores" "Gateway [Mpps]" "Border router [Mpps]";
   List.iter
     (fun k ->

@@ -258,14 +258,12 @@ let overuse ~(seed : int) ~(backend : Backend.factory) : overuse_report =
       let i = b.Botnet.id - 1 in
       let _, eer, rogue = rigs.(i) in
       match
-        Gateway.send rogue ~res_id:eer.Reservation.key.res_id
+        Gateway.send_bytes rogue ~res_id:eer.Reservation.key.res_id
           ~payload_len:payload
       with
-      | Ok (pkt, _) -> (
-          match
-            Router.process_bytes xr ~raw:(Packet.to_bytes pkt)
-              ~payload_len:payload
-          with
+      | Ok _ -> (
+          let raw = Bytes.sub (Gateway.out rogue) 0 (Gateway.out_len rogue) in
+          match Router.process_bytes xr ~raw ~payload_len:payload with
           | Ok _ -> incr forwarded
           | Error Router.Policed ->
               incr policed;

@@ -1,8 +1,6 @@
 (** The reference admission backend: N-Tube-style bounded tube
     fairness for segment reservations and constant-time bandwidth
-    walks for end-to-end reservations (§4.7) — extracted verbatim from
-    the former [lib/core/admission.ml] ([Colibri.Admission] re-exports
-    this module for compatibility).
+    walks for end-to-end reservations (§4.7).
 
     {b Segment reservations} ({!Seg}): each AS distributes the Colibri
     share of an ingress–egress interface pair among competing SegRs

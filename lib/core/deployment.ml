@@ -928,10 +928,13 @@ type delivery = {
     (Fig. 1c). Returns where the packet ended up. *)
 let send_data (t : t) ~(src : Ids.asn) ~(res_id : Ids.res_id) ~(payload_len : int) :
     (delivery, Gateway.drop_reason) result =
-  match Gateway.send (gateway t src) ~res_id ~payload_len with
+  let g = gateway t src in
+  match Gateway.send_bytes g ~res_id ~payload_len with
   | Error e -> Error e
-  | Ok (packet, _egress) ->
-      let raw = Packet.to_bytes packet in
+  | Ok path ->
+      (* A copy of exactly the header: routers take the frame length
+         from [raw], and the gateway reuses its buffer on its next send. *)
+      let raw = Bytes.sub (Gateway.out g) 0 (Gateway.out_len g) in
       let rec walk hops = function
         | [] -> Ok { delivered = true; dropped_at = None; hops_traversed = hops }
         | (hop : Path.hop) :: rest -> (
@@ -949,7 +952,7 @@ let send_data (t : t) ~(src : Ids.asn) ~(res_id : Ids.res_id) ~(payload_len : in
                     hops_traversed = hops;
                   })
       in
-      walk 0 packet.path
+      walk 0 path
 
 (** Advance simulated time. *)
 let advance (t : t) (dt : float) = Net.Engine.run t.engine ~until:(now t +. dt)

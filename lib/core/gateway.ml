@@ -104,51 +104,12 @@ let create ?(burst = 0.1) ?(registry = Obs.Registry.create ())
 
 let metrics (t : t) = t.registry
 
-(** Install or extend an EER after a successful setup or renewal
-    (➎ in Fig. 1b): the σ_i of the new version are expanded into CMAC
-    keys once, and the token-bucket rate follows the maximum bandwidth
-    over valid versions. *)
-let register (t : t) ~(eer : Reservation.eer) ~(version : Reservation.version)
-    ~(sigmas : bytes list) : (unit, string) result =
-  if not (Ids.equal_asn eer.key.src_as t.asn) then Error "EER does not originate here"
-  else if List.length sigmas <> Path.length eer.path then Error "wrong number of sigmas"
-  else begin
-    let now = t.clock () in
-    let res_info = Reservation.res_info_of_eer eer version in
-    let vs =
-      {
-        version;
-        res_info;
-        sigmas = Array.of_list (List.map Hvf.sigma_of_bytes sigmas);
-        last_ts = max_int;
-      }
-    in
-    (match Hashtbl.find_opt t.entries eer.key.res_id with
-    | Some e ->
-        e.versions <-
-          vs
-          :: List.filter
-               (fun v -> Reservation.version_valid v.version ~now)
-               e.versions;
-        Monitor.Token_bucket.set_rate e.bucket ~rate:(Reservation.eer_bw eer ~now) ~now
-    | None ->
-        let bucket =
-          Monitor.Token_bucket.create ~rate:version.bw ~burst:t.burst ~now
-        in
-        Hashtbl.replace t.entries eer.key.res_id
-          {
-            eer;
-            eer_info = Reservation.eer_info_of_eer eer;
-            versions = [ vs ];
-            bucket;
-          });
-    Ok ()
-  end
-
-(** Bulk-load variant of {!register} taking already-expanded σ keys;
-    used by benchmarks to preload up to 2^20 reservations (Fig. 5)
-    without re-running the CMAC key schedule per entry. Semantics
-    otherwise identical to {!register}. *)
+(** Install or extend an EER from already-expanded σ keys; {!register}
+    expands them first. Benchmarks call this directly to preload up to
+    2^20 reservations (Fig. 5) without re-running the CMAC key schedule
+    per entry. Extending drops the entry's lapsed versions, and the
+    token-bucket rate follows the maximum bandwidth over valid
+    versions. *)
 let register_prepared (t : t) ~(eer : Reservation.eer)
     ~(version : Reservation.version) ~(sigmas : Hvf.sigma array) :
     (unit, string) result =
@@ -160,7 +121,11 @@ let register_prepared (t : t) ~(eer : Reservation.eer)
     let vs = { version; res_info; sigmas; last_ts = max_int } in
     (match Hashtbl.find_opt t.entries eer.key.res_id with
     | Some e ->
-        e.versions <- vs :: e.versions;
+        e.versions <-
+          vs
+          :: List.filter
+               (fun v -> Reservation.version_valid v.version ~now)
+               e.versions;
         Monitor.Token_bucket.set_rate e.bucket ~rate:(Reservation.eer_bw eer ~now) ~now
     | None ->
         Hashtbl.replace t.entries eer.key.res_id
@@ -172,6 +137,14 @@ let register_prepared (t : t) ~(eer : Reservation.eer)
           });
     Ok ()
   end
+
+(** Install or extend an EER after a successful setup or renewal
+    (➎ in Fig. 1b): the σ_i of the new version are expanded into CMAC
+    keys once. *)
+let register (t : t) ~(eer : Reservation.eer) ~(version : Reservation.version)
+    ~(sigmas : bytes list) : (unit, string) result =
+  register_prepared t ~eer ~version
+    ~sigmas:(Array.of_list (List.map Hvf.sigma_of_bytes sigmas))
 
 (** Expire an entry explicitly (e.g. periodic sweep); entries whose
     versions have all lapsed are also dropped lazily on use. *)
@@ -187,13 +160,27 @@ let sweep (t : t) =
   in
   List.iter (Hashtbl.remove t.entries) stale
 
-(** Process one packet from an end host: monitor, authorize, emit.
-    [payload_len] is the payload size in bytes; the authenticated
-    [PktSize] covers header plus payload so that header-only floods
-    remain accountable (§4.8). Returns the finished packet and the
-    egress interface of the first hop. *)
-let send (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
-    (Packet.t * Ids.iface, drop_reason) result =
+(* First version still valid at [now], newest first, as a plain
+   recursion (no closure). *)
+(* hot-path *)
+let rec first_valid_version ~(now : Timebase.t) (versions : version_state list) :
+    version_state option =
+  match versions with
+  | [] -> None
+  | vs :: rest ->
+      if Reservation.version_valid vs.version ~now then Some vs
+      else first_valid_version ~now rest
+
+(* The per-packet policing core of {!send} and {!send_bytes}: entry
+   lookup → first valid version → token bucket → strictly decreasing
+   Ts → stats and counters. On success [emit t e vs ts ~pkt_size
+   ~payload_len] builds the output; callers pass a top-level function,
+   so the call allocates no closure. *)
+(* hot-path *)
+let police (t : t) ~(res_id : Ids.res_id) ~(payload_len : int)
+    (emit :
+      t -> entry -> version_state -> Timebase.Ts.t -> pkt_size:int -> payload_len:int -> 'a)
+    : ('a, drop_reason) result =
   let now = t.clock () in
   match Hashtbl.find_opt t.entries res_id with
   | None ->
@@ -201,17 +188,14 @@ let send (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
       Obs.Counter.incr t.metrics.m_drop_unknown;
       Error Unknown_reservation
   | Some e -> (
-      match
-        List.find_opt (fun v -> Reservation.version_valid v.version ~now) e.versions
-      with
+      match first_valid_version ~now e.versions with
       | None ->
           Hashtbl.remove t.entries res_id;
           t.stats.dropped_other <- t.stats.dropped_other + 1;
           Obs.Counter.incr t.metrics.m_drop_expired;
           Error Expired
       | Some vs ->
-          let hops = Path.length e.eer.path in
-          let pkt_size = Packet.header_len ~hops + payload_len in
+          let pkt_size = Packet.header_len ~hops:(Path.length e.eer.path) + payload_len in
           if not (Monitor.Token_bucket.admit e.bucket ~now ~bytes:pkt_size) then begin
             t.stats.dropped_rate <- t.stats.dropped_rate + 1;
             Obs.Counter.incr t.metrics.m_drop_rate;
@@ -227,45 +211,42 @@ let send (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
               vs.last_ts <- unique;
               Timebase.Ts.of_int unique
             in
-            let hvfs =
-              Array.map (fun sigma -> Hvf.eer_hvf sigma ~ts ~pkt_size) vs.sigmas
-            in
-            let packet : Packet.t =
-              {
-                kind = Packet.Eer;
-                path = e.eer.path;
-                res_info = vs.res_info;
-                eer_info = Some e.eer_info;
-                ts;
-                hvfs;
-                payload_len;
-              }
-            in
             t.stats.sent_pkts <- t.stats.sent_pkts + 1;
             t.stats.sent_bytes <- t.stats.sent_bytes + pkt_size;
             Obs.Counter.incr t.metrics.m_sent_pkts;
             Obs.Counter.add t.metrics.m_sent_bytes pkt_size;
             Obs.Histogram.observe t.metrics.m_pkt_size (float_of_int pkt_size);
-            let egress =
-              match e.eer.path with
-              | first :: _ -> first.egress
-              | [] -> Ids.local_iface
-            in
-            Ok (packet, egress)
+            Ok (emit t e vs ts ~pkt_size ~payload_len)
           end)
 
-(* -- Zero-copy emission (DESIGN.md §8) -- *)
+let build_packet (_ : t) (e : entry) (vs : version_state) (ts : Timebase.Ts.t)
+    ~(pkt_size : int) ~(payload_len : int) : Packet.t * Ids.iface =
+  let packet : Packet.t =
+    {
+      kind = Packet.Eer;
+      path = e.eer.path;
+      res_info = vs.res_info;
+      eer_info = Some e.eer_info;
+      ts;
+      hvfs = Array.map (fun sigma -> Hvf.eer_hvf sigma ~ts ~pkt_size) vs.sigmas;
+      payload_len;
+    }
+  in
+  let egress =
+    match e.eer.path with first :: _ -> first.egress | [] -> Ids.local_iface
+  in
+  (packet, egress)
 
-(* First version still valid at [now], newest first — the same pick as
-   [send]'s [List.find_opt], as a plain recursion (no closure). *)
-(* hot-path *)
-let rec first_valid_version ~(now : Timebase.t) (versions : version_state list) :
-    version_state option =
-  match versions with
-  | [] -> None
-  | vs :: rest ->
-      if Reservation.version_valid vs.version ~now then Some vs
-      else first_valid_version ~now rest
+(** Process one packet from an end host: monitor, authorize, emit.
+    [payload_len] is the payload size in bytes; the authenticated
+    [PktSize] covers header plus payload so that header-only floods
+    remain accountable (§4.8). Returns the finished packet and the
+    egress interface of the first hop. *)
+let send (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
+    (Packet.t * Ids.iface, drop_reason) result =
+  police t ~res_id ~payload_len build_packet
+
+(* -- Zero-copy emission (DESIGN.md §8) -- *)
 
 (* Encode the path hops at [off], 20 bytes per hop, byte-identical to
    [Path.to_bytes]. *)
@@ -290,89 +271,55 @@ let write_hvfs (t : t) (vs : version_state) ~(ts : Timebase.Ts.t)
       ~dst_off:(off + (i * Packet.hvf_len))
   done
 
+(* Encode the header into [t.out], byte-identical to [Packet.to_bytes]
+   of the packet {!build_packet} would build. *)
+(* hot-path *)
+let encode (t : t) (e : entry) (vs : version_state) (ts : Timebase.Ts.t)
+    ~(pkt_size : int) ~(payload_len : int) : Path.t =
+  let hops = Path.length e.eer.path in
+  let header = Packet.header_len ~hops in
+  if Bytes.length t.out < header then
+    (* Growth is amortized: only when a longer path than ever
+       before passes through this gateway. *)
+    (* lint: allow hot-path-alloc *)
+    t.out <- (Bytes.create (max header (2 * Bytes.length t.out)) [@colibri.allow "d1"]);
+  let b = t.out in
+  Packet.Wire.put16 b 0 Packet.magic;
+  Bytes.set_uint8 b 2 1 (* Eer *);
+  Bytes.set_uint8 b 3 hops;
+  Packet.Wire.put32 b 4 payload_len;
+  Packet.Wire.put64 b 8 (Timebase.Ts.to_int ts);
+  write_hops b Packet.fixed_header_len e.eer.path;
+  let res_off = Packet.fixed_header_len + (hops * Path.hop_byte_size) in
+  let ri = vs.res_info in
+  Packet.Wire.put32 b res_off ri.src_as.isd;
+  Packet.Wire.put32 b (res_off + 4) ri.src_as.num;
+  Packet.Wire.put32 b (res_off + 8) ri.res_id;
+  (* Clamp before float->int: bw/exp_time trace back to the
+     wire, and [int_of_float] of an oversized float is
+     unspecified (w4). *)
+  Packet.Wire.put64 b (res_off + 12)
+    (int_of_float (Float.round (Bandwidth.to_bps (Bandwidth.clamp ri.bw))));
+  Packet.Wire.put64 b (res_off + 20) (Timebase.Ts.us_of_time ri.exp_time);
+  Packet.Wire.put32 b (res_off + 28) ri.version;
+  let eer_off = res_off + Packet.res_info_len in
+  Packet.Wire.put32 b eer_off e.eer_info.src_host.addr;
+  Packet.Wire.put32 b (eer_off + 4) e.eer_info.dst_host.addr;
+  write_hvfs t vs ~ts ~pkt_size (eer_off + Packet.eer_info_len);
+  t.out_len <- header;
+  e.eer.path
+
 (** {!send} without materializing a [Packet.t]: the header is encoded
     straight into the gateway's reusable output buffer ({!out}, valid
     until the next [send_bytes] on this gateway) and the HVFs are
     computed in place. The bytes produced are identical to
     [Packet.to_bytes] of the packet {!send} would have returned.
-    Returns the egress interface of the first hop. *)
+    Returns the reservation's path; its first hop's egress is where
+    the packet leaves. *)
 (* hot-path *)
 let send_bytes (t : t) ~(res_id : Ids.res_id) ~(payload_len : int) :
-    (Ids.iface, drop_reason) result =
-  let now = t.clock () in
-  match Hashtbl.find_opt t.entries res_id with
-  | None ->
-      t.stats.dropped_other <- t.stats.dropped_other + 1;
-      Obs.Counter.incr t.metrics.m_drop_unknown;
-      Error Unknown_reservation
-  | Some e -> (
-      match first_valid_version ~now e.versions with
-      | None ->
-          Hashtbl.remove t.entries res_id;
-          t.stats.dropped_other <- t.stats.dropped_other + 1;
-          Obs.Counter.incr t.metrics.m_drop_expired;
-          Error Expired
-      | Some vs ->
-          let hops = Path.length e.eer.path in
-          let header = Packet.header_len ~hops in
-          let pkt_size = header + payload_len in
-          if not (Monitor.Token_bucket.admit e.bucket ~now ~bytes:pkt_size) then begin
-            t.stats.dropped_rate <- t.stats.dropped_rate + 1;
-            Obs.Counter.incr t.metrics.m_drop_rate;
-            Error Rate_exceeded
-          end
-          else begin
-            let ts =
-              let computed =
-                Timebase.Ts.to_int
-                  (Timebase.Ts.of_times ~exp_time:vs.res_info.exp_time ~now)
-              in
-              let unique = if computed >= vs.last_ts then vs.last_ts - 1 else computed in
-              vs.last_ts <- unique;
-              Timebase.Ts.of_int unique
-            in
-            if Bytes.length t.out < header then
-              (* Growth is amortized: only when a longer path than ever
-                 before passes through this gateway. *)
-              (* lint: allow hot-path-alloc *)
-              t.out <- (Bytes.create (max header (2 * Bytes.length t.out)) [@colibri.allow "d1"]);
-            let b = t.out in
-            Packet.Wire.put16 b 0 Packet.magic;
-            Bytes.set_uint8 b 2 1 (* Eer *);
-            Bytes.set_uint8 b 3 hops;
-            Packet.Wire.put32 b 4 payload_len;
-            Packet.Wire.put64 b 8 (Timebase.Ts.to_int ts);
-            write_hops b Packet.fixed_header_len e.eer.path;
-            let res_off = Packet.fixed_header_len + (hops * Path.hop_byte_size) in
-            let ri = vs.res_info in
-            Packet.Wire.put32 b res_off ri.src_as.isd;
-            Packet.Wire.put32 b (res_off + 4) ri.src_as.num;
-            Packet.Wire.put32 b (res_off + 8) ri.res_id;
-            (* Clamp before float->int: bw/exp_time trace back to the
-               wire, and [int_of_float] of an oversized float is
-               unspecified (w4). *)
-            Packet.Wire.put64 b (res_off + 12)
-              (int_of_float (Float.round (Bandwidth.to_bps (Bandwidth.clamp ri.bw))));
-            Packet.Wire.put64 b (res_off + 20)
-              (Timebase.Ts.us_of_time ri.exp_time);
-            Packet.Wire.put32 b (res_off + 28) ri.version;
-            let eer_off = res_off + Packet.res_info_len in
-            Packet.Wire.put32 b eer_off e.eer_info.src_host.addr;
-            Packet.Wire.put32 b (eer_off + 4) e.eer_info.dst_host.addr;
-            write_hvfs t vs ~ts ~pkt_size (eer_off + Packet.eer_info_len);
-            t.out_len <- header;
-            t.stats.sent_pkts <- t.stats.sent_pkts + 1;
-            t.stats.sent_bytes <- t.stats.sent_bytes + pkt_size;
-            Obs.Counter.incr t.metrics.m_sent_pkts;
-            Obs.Counter.add t.metrics.m_sent_bytes pkt_size;
-            Obs.Histogram.observe t.metrics.m_pkt_size (float_of_int pkt_size);
-            let egress =
-              match e.eer.path with
-              | first :: _ -> first.egress
-              | [] -> Ids.local_iface
-            in
-            Ok egress
-          end)
+    (Path.t, drop_reason) result =
+  police t ~res_id ~payload_len encode
 
 let out (t : t) = t.out
 let out_len (t : t) = t.out_len

@@ -44,8 +44,7 @@ val register :
   (unit, string) result
 (** Install or extend an EER after a successful setup or renewal
     (➎ in Fig. 1b): the σ_i of the new version are expanded into CMAC
-    keys once, and the token-bucket rate follows the maximum bandwidth
-    over valid versions. *)
+    keys once, and {!register_prepared} installs them. *)
 
 val register_prepared :
   t ->
@@ -53,9 +52,11 @@ val register_prepared :
   version:Reservation.version ->
   sigmas:Hvf.sigma array ->
   (unit, string) result
-(** Bulk-load variant of {!register} taking already-expanded σ keys;
-    used by benchmarks to preload up to 2^20 reservations (Fig. 5)
-    without re-running the CMAC key schedule per entry. *)
+(** {!register} with already-expanded σ keys; used by benchmarks to
+    preload up to 2^20 reservations (Fig. 5) without re-running the
+    CMAC key schedule per entry. Extending an entry drops its lapsed
+    versions, and the token-bucket rate follows the maximum bandwidth
+    over valid versions. *)
 
 val sweep : t -> unit
 (** Drop entries whose versions have all lapsed (also happens lazily
@@ -69,13 +70,15 @@ val send :
     header-only floods remain accountable (§4.8). *)
 
 val send_bytes :
-  t -> res_id:Ids.res_id -> payload_len:int -> (Ids.iface, drop_reason) result
-(** {!send} without materializing a [Packet.t]: the header is encoded
-    straight into the gateway's reusable output buffer and the HVFs
-    are computed in place (DESIGN.md §8), producing bytes identical to
-    [Packet.to_bytes] of the packet {!send} would have built. On [Ok],
-    the wire header is in {!out} for {!out_len} bytes — valid only
-    until the next [send_bytes] on this gateway. *)
+  t -> res_id:Ids.res_id -> payload_len:int -> (Path.t, drop_reason) result
+(** {!send} without materializing a [Packet.t]: the same policing, then
+    the header is encoded straight into the gateway's reusable output
+    buffer and the HVFs are computed in place (DESIGN.md §8), producing
+    bytes identical to [Packet.to_bytes] of the packet {!send} would
+    have built. On [Ok], the wire header is in {!out} for {!out_len}
+    bytes — valid only until the next [send_bytes] on this gateway —
+    and the result is the reservation's path, whose first hop's egress
+    is where the packet leaves. *)
 
 val out : t -> bytes
 (** The reusable output buffer of the last successful {!send_bytes};

@@ -91,9 +91,6 @@ val to_bytes : t -> bytes
 (** Serialize the header (the payload is represented by its length
     only). *)
 
-val of_bytes : bytes -> (t, parse_error) result
-(** Parse and structurally validate a packet header. *)
-
 (** {1 Zero-copy wire path (DESIGN.md §8)} *)
 
 (** Unboxed big-endian reads/writes over native [int]s, with exactly
@@ -114,12 +111,11 @@ end
 (** Validated cursor over a raw packet buffer.
 
     A [View.t] is a mutable scratch record owned by a single consumer:
-    {!View.parse} re-points it at a buffer and validates with exactly
-    the checks (and verdicts, in the same order) of {!of_bytes}; the
-    accessors then read straight out of that buffer. Accessors are
-    meaningful only after the most recent [parse] returned [Ok ()] and
-    only until the buffer is next mutated — validation before access,
-    always. The cursor accessors and [parse]'s accept path perform no
+    {!View.parse}, the library's only header parser, re-points it at a
+    buffer and validates it; the accessors then read straight out of
+    that buffer. Accessors are meaningful only after the most recent
+    [parse] returned [Ok ()] and only until the buffer is next mutated
+    — validation before access, always. The cursor accessors and [parse]'s accept path perform no
     allocation. *)
 module View : sig
   type t

@@ -84,12 +84,9 @@ val watch : t -> key:Ids.res_key -> rate:Bandwidth.t -> unit
     monitoring at its reserved rate — the state a flagged suspect ends
     up in (§4.8); Table 2's phase 3 pre-installs this. *)
 
-val process : t -> packet:Packet.t -> actual_size:int -> (action, drop_reason) result
-(** Validate and route one already-parsed packet whose true wire size
-    is [actual_size] bytes. The HVF authenticates [PktSize], so a
-    mismatch between declared and actual size fails validation. *)
-
 val process_bytes : t -> raw:bytes -> payload_len:int -> (action, drop_reason) result
-(** Full fast path from raw bytes: parse, validate, route — what a
-    border router executes per packet (§7.1 measures this end to
-    end). *)
+(** The router's one entry point: parse, validate, route — what a
+    border router executes per packet (§7.1 measures this end to end).
+    [raw] is exactly the header; the packet's true wire size is its
+    length plus [payload_len]. The HVF authenticates [PktSize], so a
+    mismatch between declared and actual size fails validation. *)

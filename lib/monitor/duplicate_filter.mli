@@ -14,6 +14,11 @@ val create : expected:int -> fp_rate:float -> window:float -> now:float -> t
 (** Size the filters for [expected] packets per [window] seconds at
     false-positive rate [fp_rate]. *)
 
+val fmix : int -> int
+(** 63-bit multiply-xorshift finalizer: a bijection on [int] whose
+    every output bit depends on every input bit. The building block of
+    {!packet_key}, and of the OFD's sketch index. *)
+
 val packet_key : src_isd:int -> src_num:int -> res_id:int -> ts:int -> size:int -> int
 (** The filter key of a packet: its (SrcAS, ResId, Ts, PktSize)
     identifier mixed into 63 bits by an allocation-free integer hash

@@ -65,14 +65,14 @@ let maybe_rotate (t : t) ~now =
     t.observed_packets <- 0
   end
 
-(* The seeded polymorphic hash is intentional here: count-min sketch
-   indexing needs a fast non-cryptographic spread, not authentication —
-   a collision only inflates an estimate (a false suspect escalated to
-   exact monitoring), never hides overuse. *)
+(* Count-min indexing needs a fast non-cryptographic spread, not
+   authentication — a collision only inflates an estimate (a false
+   suspect escalated to exact monitoring), never hides overuse. The
+   flow label and the row seed are mixed with integer arithmetic only,
+   so the per-packet [observe] and [estimate] allocate nothing here. *)
 let slot (t : t) (key : Ids.res_key) (row : int) =
-  (* lint: allow poly-hash *)
-  (Hashtbl.hash (key.src_as.isd, key.src_as.num, key.res_id, t.seeds.(row))
-  [@colibri.allow "d3"])
+  let mix = Duplicate_filter.fmix in
+  mix (mix (mix (t.seeds.(row) lxor key.src_as.isd) lxor key.src_as.num) lxor key.res_id)
   land max_int mod t.width
 
 (** Current sketch estimate (normalized seconds in this window) for a
@@ -95,12 +95,18 @@ let observe (t : t) ~(now : float) ~(key : Ids.res_key) ~(normalized : float) :
      positive); clamp defensively instead of trusting the caller. *)
   let normalized = Float.max 0. normalized in
   t.observed_packets <- t.observed_packets + 1;
+  (* The estimate is taken in the update loop, from the cells just
+     written: the same value [estimate] would read back, without a
+     second pass or a boxed float return. *)
+  let est = ref Float.max_float in
   for row = 0 to t.depth - 1 do
+    let cells = t.rows.(row) in
     let i = slot t key row in
-    t.rows.(row).(i) <- t.rows.(row).(i) +. normalized
+    cells.(i) <- cells.(i) +. normalized;
+    est := Float.min !est cells.(i)
   done;
   if
-    estimate t key > t.threshold *. t.window
+    !est > t.threshold *. t.window
     && not (Ids.Res_key_tbl.mem t.suspects key)
   then begin
     Ids.Res_key_tbl.replace t.suspects key ();

@@ -1,5 +1,5 @@
 (** Randomized invariant auditing: drive the memoizing admission
-    structures ({!Admission.Seg}, {!Admission.Eer}, {!Distributed}) and
+    structures ({!Backends.Ntube.Seg}, {!Backends.Ntube.Eer}, {!Distributed}) and
     the monitor's {!Monitor.Token_bucket} through QCheck-generated
     admit/renew/remove/expire sequences, and after {e every} single
     operation recompute all memoized aggregates from scratch via
@@ -23,7 +23,7 @@ let check_clean what errs =
         Fmt.(list ~sep:(any "@.") string)
         errs
 
-(* --- Admission.Seg ------------------------------------------------- *)
+(* --- Backends.Ntube.Seg ------------------------------------------------- *)
 
 (* Heterogeneous capacities so the three demand-adjustment layers
    (ingress cap, tube cap, per-source cap) all actually bind. *)
@@ -31,7 +31,7 @@ let seg_capacity iface = gbps (float_of_int (2 + (iface mod 3)))
 
 let run_seg_sequence seed =
   let rng = Random.State.make [| seed; 0xA0D17 |] in
-  let t = Admission.Seg.create ~capacity:seg_capacity ~share:0.8 () in
+  let t = Backends.Ntube.Seg.create ~capacity:seg_capacity ~share:0.8 () in
   let live = ref [] in
   for step = 1 to 50 do
     let now = float_of_int step in
@@ -43,7 +43,7 @@ let run_seg_sequence seed =
         let version = 1 + Random.State.int rng 3 in
         let demand = mbps (1. +. Random.State.float rng 3000.) in
         (match
-           Admission.Seg.admit t ~key:k ~version
+           Backends.Ntube.Seg.admit t ~key:k ~version
              ~src:(asn (1 + Random.State.int rng 4))
              ~ingress:(1 + Random.State.int rng 3)
              ~egress:(1 + Random.State.int rng 3)
@@ -51,8 +51,8 @@ let run_seg_sequence seed =
              ~min_bw:(mbps (Random.State.float rng 5.))
              ~exp_time:(now +. 100.) ~now
          with
-        | Admission.Granted _ -> live := (k, version) :: !live
-        | Admission.Denied _ -> ())
+        | Backends.Ntube.Granted _ -> live := (k, version) :: !live
+        | Backends.Ntube.Denied _ -> ())
     | 6 | 7 -> (
         (* Renewal backward pass: shrink a live grant to the path-wide
            minimum (a fraction of the local grant). *)
@@ -60,12 +60,12 @@ let run_seg_sequence seed =
         | [] -> ()
         | l ->
             let k, version = List.nth l (Random.State.int rng (List.length l)) in
-            (match Admission.Seg.granted_of t ~key:k ~version with
+            (match Backends.Ntube.Seg.granted_of t ~key:k ~version with
             | Some g ->
                 let granted =
                   Bandwidth.scale (0.1 +. Random.State.float rng 0.9) g
                 in
-                ignore (Admission.Seg.set_granted t ~key:k ~version ~granted)
+                ignore (Backends.Ntube.Seg.set_granted t ~key:k ~version ~granted)
             | None -> ()))
     | 8 -> (
         (* Cleanup of a live version. *)
@@ -73,14 +73,14 @@ let run_seg_sequence seed =
         | [] -> ()
         | l ->
             let k, version = List.nth l (Random.State.int rng (List.length l)) in
-            Admission.Seg.remove t ~key:k ~version;
+            Backends.Ntube.Seg.remove t ~key:k ~version;
             live := List.filter (fun e -> e <> (k, version)) !live)
     | _ ->
         (* Remove of a (likely) absent version must be a clean no-op. *)
-        Admission.Seg.remove t
+        Backends.Ntube.Seg.remove t
           ~key:(key (1 + Random.State.int rng 9) (1 + Random.State.int rng 20))
           ~version:(1 + Random.State.int rng 3));
-    ignore (check_clean "Seg" (Admission.Seg.audit t))
+    ignore (check_clean "Seg" (Backends.Ntube.Seg.audit t))
   done;
   true
 
@@ -90,11 +90,11 @@ let prop_seg_audit_clean =
     QCheck2.Gen.(1 -- 1_000_000)
     run_seg_sequence
 
-(* --- Admission.Eer ------------------------------------------------- *)
+(* --- Backends.Ntube.Eer ------------------------------------------------- *)
 
 let run_eer_sequence seed =
   let rng = Random.State.make [| seed; 0xEE12 |] in
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   let segr i : Ids.res_key = { src_as = asn (100 + i); res_id = i } in
   let now = ref 0. in
   for _step = 1 to 50 do
@@ -116,7 +116,7 @@ let run_eer_sequence seed =
           else None
         in
         ignore
-          (Admission.Eer.admit
+          (Backends.Ntube.Eer.admit
              ~partial:(Random.State.bool rng)
              t ~key:flow ~version ~segrs ~via_up
              ~demand:(mbps (1. +. Random.State.float rng 400.))
@@ -124,12 +124,12 @@ let run_eer_sequence seed =
              ~now:!now)
     | 7 | 8 ->
         (* Failed-setup cleanup: also hits absent (key, version). *)
-        Admission.Eer.remove_version t ~key:flow ~version ~now:!now
+        Backends.Ntube.Eer.remove_version t ~key:flow ~version ~now:!now
     | _ ->
         (* Let time pass so versions expire (step + expiry is the
            "expire" op of the sequence). *)
         now := !now +. 25.);
-    ignore (check_clean "Eer" (Admission.Eer.audit t))
+    ignore (check_clean "Eer" (Backends.Ntube.Eer.audit t))
   done;
   true
 
@@ -248,35 +248,40 @@ let prop_dup_idle_gap_fresh =
         (fun k -> Monitor.Duplicate_filter.check_and_insert f ~now k)
         keys)
 
-let prop_shard_of_in_range =
-  QCheck2.Test.make ~name:"sharded gateway: shard_of total over full int range"
+let prop_dispatch_in_range =
+  QCheck2.Test.make ~name:"shard dispatch: in range over the full int range"
     ~count:200
-    QCheck2.Gen.(pair (1 -- 16) adversarial_int)
-    (fun (shards, res_id) ->
-      let sg =
-        Dataplane_shard.Sharded_gateway.create ~clock:(fun () -> 0.) ~shards
-          (asn 1)
-      in
-      let i = Dataplane_shard.Sharded_gateway.shard_of sg res_id in
-      i >= 0 && i < shards)
+    QCheck2.Gen.(triple (1 -- 16) adversarial_int adversarial_int)
+    (fun (k, len, b) ->
+      let i = Dataplane_shard.dispatch_mix ~len ~b mod k in
+      i >= 0 && i < k)
 
 let audit_secret = Hvf.as_secret_of_material (Bytes.make 16 'K')
 
 let prop_short_frames_parse_error =
   QCheck2.Test.make ~name:"sharded router: short frames never raise" ~count:60
-    QCheck2.Gen.(triple (1 -- 8) (0 -- 8) char)
-    (fun (shards, len, c) ->
-      let sr =
-        Dataplane_shard.Sharded_router.create ~secret:audit_secret
+    QCheck2.Gen.(triple (1 -- 4) (list_size (1 -- 8) (0 -- 8)) char)
+    (fun (workers, lens, c) ->
+      let pr =
+        Dataplane_shard.Parallel_router.create ~secret:audit_secret
           ~clock:(fun () -> 0.)
-          ~shards (asn 2)
+          ~workers (asn 2)
       in
-      match
-        Dataplane_shard.Sharded_router.process_bytes sr ~raw:(Bytes.make len c)
-          ~payload_len:0
-      with
-      | Error (Router.Parse_error _) -> true
-      | _ -> false)
+      List.iter
+        (fun len ->
+          let raw = Bytes.make len c in
+          while not (Dataplane_shard.Parallel_router.submit pr ~raw ~payload_len:0) do
+            Domain.cpu_relax ()
+          done)
+        lens;
+      Dataplane_shard.Parallel_router.drain pr;
+      Dataplane_shard.Parallel_router.shutdown pr;
+      let parse_errors =
+        List.assoc_opt
+          (Obs.labeled "router_dropped_total" [ ("reason", "parse_error") ])
+          (Dataplane_shard.Parallel_router.metrics pr)
+      in
+      parse_errors = Some (Obs.Counter (List.length lens)))
 
 let prop_peek_is_transparent =
   QCheck2.Test.make
@@ -314,25 +319,25 @@ let corrupted_is_caught name audit corrupt apply_workload () =
     (audit () <> [])
 
 let seg_detects_corruption () =
-  let t = Admission.Seg.create ~capacity:seg_capacity () in
+  let t = Backends.Ntube.Seg.create ~capacity:seg_capacity () in
   corrupted_is_caught "seg"
-    (fun () -> Admission.Seg.audit t)
-    (fun () -> Admission.Seg.corrupt_for_test t)
+    (fun () -> Backends.Ntube.Seg.audit t)
+    (fun () -> Backends.Ntube.Seg.corrupt_for_test t)
     (fun () ->
       ignore
-        (Admission.Seg.admit t ~key:(key 1 1) ~version:1 ~src:(asn 1) ~ingress:1
+        (Backends.Ntube.Seg.admit t ~key:(key 1 1) ~version:1 ~src:(asn 1) ~ingress:1
            ~egress:2 ~demand:(mbps 100.) ~min_bw:(mbps 1.) ~exp_time:100.
            ~now:0.))
     ()
 
 let eer_detects_corruption () =
-  let t = Admission.Eer.create () in
+  let t = Backends.Ntube.Eer.create () in
   corrupted_is_caught "eer"
-    (fun () -> Admission.Eer.audit t)
-    (fun () -> Admission.Eer.corrupt_for_test t)
+    (fun () -> Backends.Ntube.Eer.audit t)
+    (fun () -> Backends.Ntube.Eer.corrupt_for_test t)
     (fun () ->
       ignore
-        (Admission.Eer.admit t ~key:(key 1 1) ~version:1
+        (Backends.Ntube.Eer.admit t ~key:(key 1 1) ~version:1
            ~segrs:[ (key 100 1, gbps 1.) ]
            ~via_up:None ~demand:(mbps 10.) ~exp_time:16. ~now:0.))
     ()
@@ -366,7 +371,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_bucket_audit_clean;
     QCheck_alcotest.to_alcotest prop_dup_replay_caught;
     QCheck_alcotest.to_alcotest prop_dup_idle_gap_fresh;
-    QCheck_alcotest.to_alcotest prop_shard_of_in_range;
+    QCheck_alcotest.to_alcotest prop_dispatch_in_range;
     QCheck_alcotest.to_alcotest prop_short_frames_parse_error;
     QCheck_alcotest.to_alcotest prop_peek_is_transparent;
     Alcotest.test_case "seg: corrupt_for_test is detected" `Quick

@@ -1,7 +1,8 @@
 (** Focused unit tests for gateway and router in isolation (no
     deployment): registration validation, version pruning, timestamp
-    uniqueness, SegR control-packet routing, freshness boundaries, and
-    the explicit watch API. *)
+    uniqueness, SegR control-packet routing, freshness boundaries, the
+    explicit watch API, and the router sharding front end's handling
+    of adversarial input. *)
 
 open Colibri_types
 open Colibri
@@ -90,6 +91,10 @@ let gateway_stats_track () =
 
 let secret = Hvf.as_secret_of_material (Bytes.make 16 'K')
 
+(* The router's one entry point, fed the wire encoding of [pkt]. *)
+let process r (pkt : Packet.t) =
+  Router.process_bytes r ~raw:(Packet.to_bytes pkt) ~payload_len:pkt.payload_len
+
 let seg_packet () : Packet.t =
   let res_info : Packet.res_info =
     { src_as = asn 1; res_id = 3; bw = mbps 100.; exp_time = 300.; version = 1 }
@@ -110,7 +115,7 @@ let router_routes_seg_to_cserv () =
   let now = ref 299. in
   let r = Router.create ~ofd:`None ~duplicates:`None ~secret ~clock:(fun () -> !now) (asn 2) in
   let pkt = seg_packet () in
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Ok Router.To_cserv -> ()
   | Ok _ -> Alcotest.fail "SegR packet not routed to CServ"
   | Error e -> Alcotest.failf "dropped: %a" Router.pp_drop_reason e
@@ -119,7 +124,7 @@ let router_seg_bad_token_dropped () =
   let r = Router.create ~ofd:`None ~duplicates:`None ~secret ~clock:(fun () -> 299.) (asn 2) in
   let pkt = seg_packet () in
   pkt.hvfs.(1) <- Bytes.make 4 'z';
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Error Router.Invalid_hvf -> ()
   | _ -> Alcotest.fail "bad SegR token accepted"
 
@@ -146,7 +151,7 @@ let eer_packet ~now : Packet.t =
 let router_delivers_at_last_hop () =
   let r = Router.create ~ofd:`None ~duplicates:`None ~secret ~clock:(fun () -> 0.) (asn 2) in
   let pkt = eer_packet ~now:0. in
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Ok (Router.Deliver h) -> Alcotest.(check int) "to dst host" 2 h.addr
   | Ok _ -> Alcotest.fail "expected Deliver"
   | Error e -> Alcotest.failf "dropped: %a" Router.pp_drop_reason e
@@ -163,11 +168,11 @@ let router_freshness_boundary () =
   in
   let pkt = eer_packet ~now:0. in
   now := w -. 0.01;
-  (match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  (match process r pkt with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "fresh packet dropped: %a" Router.pp_drop_reason e);
   now := w +. 0.01;
-  match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  match process r pkt with
   | Error Router.Stale_timestamp -> ()
   | _ -> Alcotest.fail "stale packet accepted"
 
@@ -190,49 +195,57 @@ let router_watch_installs_bucket () =
            ~eer_info:(Option.get p.eer_info) ~hop)
     in
     p.hvfs.(1) <- Hvf.eer_hvf sigma ~ts:p.ts ~pkt_size:(Packet.wire_size p);
-    match Router.process r ~packet:p ~actual_size:(Packet.wire_size p) with
+    match process r p with
     | Error Router.Policed -> incr policed
     | _ -> ()
   done;
   Alcotest.(check bool) (Printf.sprintf "policed %d" !policed) true (!policed > 300)
 
-(* -- Sharded dataplane regressions -- *)
+(* -- Sharding regressions -- *)
 
-let sharded_gateway_adversarial_res_ids () =
-  (* Regression: shard selection used [abs (res_id · φ) mod shards];
-     [abs min_int = min_int] gave a negative shard index and an
-     out-of-bounds array access. Adversarial ResIds must map into
-     range and flow through the normal drop path, never raise. *)
-  let sg = Dataplane_shard.Sharded_gateway.create ~clock:(fun () -> 0.) ~shards:4 (asn 1) in
+let dispatch_index_in_range () =
+  (* Regression: shard selection once used [abs (h · φ) mod k];
+     [abs min_int = min_int] gave a negative index and an out-of-bounds
+     array access. Adversarial inputs must map into range. *)
   let ids = [ min_int; max_int; min_int + 1; 0; -1; 0x4000_0000_0000_0000 ] in
   List.iter
-    (fun res_id ->
-      let i = Dataplane_shard.Sharded_gateway.shard_of sg res_id in
-      Alcotest.(check bool)
-        (Printf.sprintf "shard of %d in range (got %d)" res_id i)
-        true
-        (i >= 0 && i < 4);
-      match Dataplane_shard.Sharded_gateway.send sg ~res_id ~payload_len:100 with
-      | Error _ -> () (* unknown reservation: the expected verdict *)
-      | Ok _ -> Alcotest.failf "unregistered res_id %d sent" res_id)
+    (fun len ->
+      List.iter
+        (fun b ->
+          let i = Dataplane_shard.dispatch_mix ~len ~b mod 4 in
+          Alcotest.(check bool)
+            (Printf.sprintf "index of (%d, %d) in range (got %d)" len b i)
+            true
+            (i >= 0 && i < 4))
+        ids)
     ids
 
-let sharded_router_short_packet_is_parse_error () =
-  (* Regression: the dispatcher read the dispatch byte with an
-     unchecked [Bytes.get raw 8], so any frame under 9 bytes raised
+let parallel_router_short_packet_is_parse_error () =
+  (* Regression: a dispatcher read the dispatch byte with an unchecked
+     [Bytes.get raw 8], so any frame under 9 bytes raised
      [Invalid_argument] instead of producing the parser's verdict. *)
-  let sr =
-    Dataplane_shard.Sharded_router.create ~secret ~clock:(fun () -> 0.) ~shards:4 (asn 2)
+  let pr =
+    Dataplane_shard.Parallel_router.create ~secret ~clock:(fun () -> 0.) ~workers:2
+      (asn 2)
   in
+  let lens = [ 0; 1; 8 ] in
   List.iter
     (fun len ->
       let raw = Bytes.make len '\000' in
-      match Dataplane_shard.Sharded_router.process_bytes sr ~raw ~payload_len:0 with
-      | Error (Router.Parse_error _) -> ()
-      | Ok _ -> Alcotest.failf "%d-byte frame accepted" len
-      | Error e ->
-          Alcotest.failf "%d-byte frame: wrong verdict %a" len Router.pp_drop_reason e)
-    [ 0; 1; 8 ]
+      while not (Dataplane_shard.Parallel_router.submit pr ~raw ~payload_len:0) do
+        Domain.cpu_relax ()
+      done)
+    lens;
+  Dataplane_shard.Parallel_router.drain pr;
+  Dataplane_shard.Parallel_router.shutdown pr;
+  let m = Dataplane_shard.Parallel_router.metrics pr in
+  let counter name =
+    match List.assoc_opt name m with Some (Obs.Counter n) -> n | _ -> 0
+  in
+  let n = List.length lens in
+  Alcotest.(check int) "every frame dropped" n (counter "par_router_dropped_total");
+  Alcotest.(check int) "as parse errors" n
+    (counter (Obs.labeled "router_dropped_total" [ ("reason", "parse_error") ]))
 
 let suite =
   [
@@ -245,8 +258,8 @@ let suite =
     Alcotest.test_case "router: delivers at last hop" `Quick router_delivers_at_last_hop;
     Alcotest.test_case "router: freshness boundary" `Quick router_freshness_boundary;
     Alcotest.test_case "router: watch installs bucket" `Quick router_watch_installs_bucket;
-    Alcotest.test_case "sharded gateway: adversarial res_ids" `Quick
-      sharded_gateway_adversarial_res_ids;
+    Alcotest.test_case "shard dispatch: adversarial inputs in range" `Quick
+      dispatch_index_in_range;
     Alcotest.test_case "sharded router: short packet is parse error" `Quick
-      sharded_router_short_packet_is_parse_error;
+      parallel_router_short_packet_is_parse_error;
   ]

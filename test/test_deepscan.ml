@@ -112,6 +112,13 @@ let test_exact_counts () =
   Alcotest.(check int) "total findings" 8 (List.length (findings ()));
   Alcotest.(check bool) "all fixture modules scanned" true (snd (Lazy.force result) >= 6)
 
+let test_named_roots_mark_lib () =
+  (* A named hot root that marks no node — its function was renamed or
+     deleted — silently drops that function's closure from d1/d2. Every
+     entry must still name a function of the library. *)
+  Alcotest.(check (list string)) "named hot roots marking no lib/ node" []
+    (Deepscan.scan_ex [ "../lib" ]).sr_unmatched_roots
+
 let suite =
   [
     Alcotest.test_case "d1 fires across modules" `Quick test_d1_cross_module;
@@ -131,4 +138,6 @@ let suite =
     Alcotest.test_case "d5 sanitizer and suppression stay clean" `Quick
       test_d5_sanitized_and_suppressed;
     Alcotest.test_case "exact finding counts" `Quick test_exact_counts;
+    Alcotest.test_case "every named hot root marks a lib/ node" `Quick
+      test_named_roots_mark_lib;
   ]

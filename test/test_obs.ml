@@ -174,9 +174,9 @@ let path2 : Path.t =
     Path.hop ~asn:(asn 2) ~ingress:1 ~egress:0;
   ]
 
-let mk_eer ?(res_id = 1) ~versions () : Reservation.eer =
+let mk_eer ~versions () : Reservation.eer =
   {
-    key = { src_as = asn 1; res_id };
+    key = { src_as = asn 1; res_id = 1 };
     path = path2;
     src_host = Ids.host 1;
     dst_host = Ids.host 2;
@@ -185,6 +185,9 @@ let mk_eer ?(res_id = 1) ~versions () : Reservation.eer =
   }
 
 let secret = Hvf.as_secret_of_material (Bytes.make 16 'K')
+
+let process r (pkt : Packet.t) =
+  Router.process_bytes r ~raw:(Packet.to_bytes pkt) ~payload_len:pkt.payload_len
 
 let eer_packet ~now ~payload_len : Packet.t =
   let res_info : Packet.res_info =
@@ -244,15 +247,15 @@ let mixed_workload_populates_metrics () =
      replay, a corrupted HVF, and a truncated frame. *)
   let r = Router.create ~secret ~clock:(fun () -> 0.) (asn 2) in
   let pkt = eer_packet ~now:0. ~payload_len:10 in
-  (match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  (match process r pkt with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "valid packet dropped: %a" Router.pp_drop_reason e);
-  (match Router.process r ~packet:pkt ~actual_size:(Packet.wire_size pkt) with
+  (match process r pkt with
   | Error Router.Duplicate -> ()
   | _ -> Alcotest.fail "replay not dropped");
   let bad = eer_packet ~now:0. ~payload_len:20 in
   bad.hvfs.(1) <- Bytes.make 4 'z';
-  (match Router.process r ~packet:bad ~actual_size:(Packet.wire_size bad) with
+  (match process r bad with
   | Error Router.Invalid_hvf -> ()
   | _ -> Alcotest.fail "bad HVF not dropped");
   (match Router.process_bytes r ~raw:(Bytes.make 3 '\000') ~payload_len:0 with
@@ -280,37 +283,6 @@ let mixed_workload_populates_metrics () =
     (gauge_of rs "router_dup_filter_bits_set")
     (gauge_of (Obs.Registry.snapshot (Router.metrics r)) "router_dup_filter_bits_set")
 
-let sharded_metrics_aggregate () =
-  (* Shards hand out disjoint registries; [metrics] must read like one
-     big gateway: counters sum across shards. *)
-  let version : Reservation.version =
-    { version = 1; bw = mbps 100.; exp_time = 16. }
-  in
-  let sg =
-    Dataplane_shard.Sharded_gateway.create ~clock:(fun () -> 0.) ~shards:4 (asn 1)
-  in
-  for res_id = 1 to 8 do
-    (match
-       Dataplane_shard.Sharded_gateway.register sg
-         ~eer:(mk_eer ~res_id ~versions:[ version ] ())
-         ~version
-         ~sigmas:[ Bytes.make 16 'a'; Bytes.make 16 'b' ]
-     with
-    | Ok () -> ()
-    | Error e -> Alcotest.fail e);
-    match Dataplane_shard.Sharded_gateway.send sg ~res_id ~payload_len:100 with
-    | Ok _ -> ()
-    | Error e -> Alcotest.failf "send dropped: %a" Gateway.pp_drop_reason e
-  done;
-  ignore (Dataplane_shard.Sharded_gateway.send sg ~res_id:999 ~payload_len:1);
-  let m = Dataplane_shard.Sharded_gateway.metrics sg in
-  Alcotest.(check int) "sent sums across shards" 8
-    (counter_of m "gateway_sent_packets_total");
-  Alcotest.(check int) "drops sum across shards" 1
-    (counter_of m (Obs.labeled "gateway_dropped_total" [ ("reason", "unknown_reservation") ]));
-  Alcotest.(check (float 0.)) "reservation gauge sums" 8.
-    (gauge_of m "gateway_reservations")
-
 let suite =
   [
     Alcotest.test_case "counter basics" `Quick counter_basics;
@@ -326,5 +298,4 @@ let suite =
     Alcotest.test_case "per-reservation counter family" `Quick res_key_family_memoized;
     Alcotest.test_case "mixed workload populates metrics" `Quick
       mixed_workload_populates_metrics;
-    Alcotest.test_case "sharded metrics aggregate" `Quick sharded_metrics_aggregate;
   ]

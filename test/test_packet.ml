@@ -50,7 +50,7 @@ let resinfo_roundtrip () =
 let packet_roundtrip () =
   let p = mk_packet () in
   let raw = Packet.to_bytes p in
-  match Packet.of_bytes raw with
+  match Packet_ref.of_bytes raw with
   | Error e -> Alcotest.failf "parse error: %a" Packet.pp_parse_error e
   | Ok q ->
       Alcotest.(check bool) "kind" true (q.kind = Packet.Eer);
@@ -68,7 +68,7 @@ let packet_roundtrip () =
 
 let seg_packet_roundtrip () =
   let p = mk_packet ~kind:Packet.Seg () in
-  match Packet.of_bytes (Packet.to_bytes p) with
+  match Packet_ref.of_bytes (Packet.to_bytes p) with
   | Ok q ->
       Alcotest.(check bool) "kind seg" true (q.kind = Packet.Seg);
       Alcotest.(check bool) "no eer info" true (q.eer_info = None)
@@ -78,21 +78,21 @@ let parse_errors () =
   let p = mk_packet () in
   let raw = Packet.to_bytes p in
   Alcotest.(check bool) "truncated" true
-    (Packet.of_bytes (Bytes.sub raw 0 10) = Error Packet.Truncated);
+    (Packet_ref.of_bytes (Bytes.sub raw 0 10) = Error Packet.Truncated);
   let bad_magic = Bytes.copy raw in
   Bytes.set_uint16_be bad_magic 0 0xdead;
-  Alcotest.(check bool) "bad magic" true (Packet.of_bytes bad_magic = Error Packet.Bad_magic);
+  Alcotest.(check bool) "bad magic" true (Packet_ref.of_bytes bad_magic = Error Packet.Bad_magic);
   let bad_kind = Bytes.copy raw in
   Bytes.set_uint8 bad_kind 2 7;
-  Alcotest.(check bool) "bad kind" true (Packet.of_bytes bad_kind = Error Packet.Bad_kind);
+  Alcotest.(check bool) "bad kind" true (Packet_ref.of_bytes bad_kind = Error Packet.Bad_kind);
   let zero_hops = Bytes.copy raw in
   Bytes.set_uint8 zero_hops 3 0;
   Alcotest.(check bool) "zero hops" true
-    (Packet.of_bytes zero_hops = Error Packet.Bad_hop_count);
+    (Packet_ref.of_bytes zero_hops = Error Packet.Bad_hop_count);
   (* Corrupting the first hop's ingress to non-zero invalidates the path. *)
   let bad_path = Bytes.copy raw in
   Bytes.set_int32_be bad_path (Packet.fixed_header_len + 8) 9l;
-  (match Packet.of_bytes bad_path with
+  (match Packet_ref.of_bytes bad_path with
   | Error (Packet.Bad_path _) -> ()
   | _ -> Alcotest.fail "expected Bad_path")
 
@@ -191,7 +191,7 @@ let packet_gen =
 
 let prop_packet_roundtrip =
   QCheck2.Test.make ~name:"packet: bytes roundtrip" ~count:200 packet_gen (fun p ->
-      match Packet.of_bytes (Packet.to_bytes p) with
+      match Packet_ref.of_bytes (Packet.to_bytes p) with
       | Error _ -> false
       | Ok q ->
           q.kind = p.kind

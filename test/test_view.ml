@@ -2,7 +2,7 @@
 
     [Packet.View] re-implements the header decoder as validated cursor
     accessors over the raw buffer; these properties pin it to the
-    legacy [Packet.of_bytes] record decoder — same accept/reject
+    reference [Packet_ref.of_bytes] record decoder — same accept/reject
     verdict on arbitrary (also corrupted) buffers, identical field
     values on accept — and a GC regression test asserts the warmed
     router fast path allocates nothing. *)
@@ -75,7 +75,7 @@ let prop_view_roundtrip =
   QCheck2.Test.make ~name:"view: agrees with of_bytes on round-tripped packets"
     ~count:1000 Test_packet.packet_gen (fun p ->
       let raw = Packet.to_bytes p in
-      match (Packet.of_bytes raw, Packet.View.parse view raw) with
+      match (Packet_ref.of_bytes raw, Packet.View.parse view raw) with
       | Ok q, Ok () -> check_view_matches_record q
       | _ -> false)
 
@@ -111,7 +111,7 @@ let corrupted_gen =
 let prop_view_differential =
   QCheck2.Test.make ~name:"view: same verdict as of_bytes on corrupted buffers"
     ~count:1000 corrupted_gen (fun raw ->
-      match (Packet.of_bytes raw, Packet.View.parse view raw) with
+      match (Packet_ref.of_bytes raw, Packet.View.parse view raw) with
       | Ok q, Ok () -> check_view_matches_record q
       | Error e1, Error e2 -> e1 = e2
       | Ok _, Error _ | Error _, Ok () -> false)
@@ -245,6 +245,19 @@ let hvf_eer_check_zero_alloc () =
       if not (Hvf.eer_check probe_secret scr v ~hop:1 ~pkt_size) then
         Alcotest.fail "EER probe packet rejected")
 
+let ofd_observe_zero_alloc () =
+  (* The count-min sketch indexes each row by an integer mix of the
+     flow label; a polymorphic hash of a boxed tuple here cost 5 minor
+     words per row, twice per packet. The label and the normalized size
+     are built once, outside the loop, as a caller holding them would. *)
+  let ofd = Monitor.Ofd.create ~window:1.0 ~threshold:1.2 ~now:0. () in
+  let key : Ids.res_key = { src_as = Ids.asn ~isd:1 ~num:1; res_id = 7 } in
+  let normalized = Sys.opaque_identity 1e-9 in
+  assert_zero_alloc "Ofd.observe" (fun () ->
+      match Monitor.Ofd.observe ofd ~now:0.5 ~key ~normalized with
+      | `Ok -> ()
+      | `Suspect -> Alcotest.fail "conforming flow flagged")
+
 (* ---------- Duplicate filter key ------------------------------------- *)
 
 let dedup_distinct_packets_pass () =
@@ -325,8 +338,9 @@ let gateway_send_bytes_differential () =
         ( Gateway.send legacy ~res_id:5 ~payload_len,
           Gateway.send_bytes zero_copy ~res_id:5 ~payload_len )
       with
-      | Ok (pkt, eg1), Ok eg2 ->
-          Alcotest.(check int) (Printf.sprintf "egress %d" i) eg1 eg2;
+      | Ok (pkt, egress), Ok path ->
+          Alcotest.(check int) (Printf.sprintf "egress %d" i) egress
+            (List.hd path).Path.egress;
           let reference = Packet.to_bytes pkt in
           let out = Bytes.sub (Gateway.out zero_copy) 0 (Gateway.out_len zero_copy) in
           Alcotest.(check string)
@@ -352,6 +366,7 @@ let suite =
     Alcotest.test_case "Cmac.digest_trunc_into: 0 minor words" `Quick
       cmac_digest_trunc_zero_alloc;
     Alcotest.test_case "Hvf.eer_check: 0 minor words" `Quick hvf_eer_check_zero_alloc;
+    Alcotest.test_case "Ofd.observe: 0 minor words" `Quick ofd_observe_zero_alloc;
     Alcotest.test_case "dup filter: distinct packets with colliding 30-bit keys pass"
       `Quick dedup_distinct_packets_pass;
     Alcotest.test_case "gateway send_bytes ≡ send (byte-identical)" `Quick

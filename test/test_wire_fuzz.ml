@@ -5,7 +5,7 @@
     same surface dynamically. Each property starts from a valid
     serialized packet (or raw garbage), corrupts it — multi-byte
     overwrites, structure splices, truncation/extension — and asserts
-    the two independent decoders, the record parser [Packet.of_bytes]
+    the two independent decoders, the record parser [Packet_ref.of_bytes]
     and the zero-copy cursor [Packet.View.parse], return identical
     typed verdicts and never raise. [test_view.ml] pins single
     bit-flips; the generators here make coarser, structure-crossing
@@ -23,7 +23,7 @@ let view = Packet.View.create ()
    round-trip through the view's geometry (cheap sanity, not the full
    field-equality of test_view). *)
 let verdicts_agree (raw : bytes) : bool =
-  match (Packet.of_bytes raw, Packet.View.parse view raw) with
+  match (Packet_ref.of_bytes raw, Packet.View.parse view raw) with
   | Ok q, Ok () ->
       Packet.View.wire_size view = Packet.wire_size q
       && Packet.View.hops view = List.length q.path

@@ -86,7 +86,7 @@ let alloc_suffix = "_minor_words_per_pkt"
 let alloc_ceilings =
   [
     ("router_bare_minor_words_per_pkt", 4.);
-    ("router_monitored_minor_words_per_pkt", 54.);
+    ("router_monitored_minor_words_per_pkt", 12.);
     ("gateway_minor_words_per_pkt", 39.);
     ("gateway_1500b_minor_words_per_pkt", 45.);
   ]

@@ -88,7 +88,6 @@ let named_hot_roots =
   SS.of_list
     [
       "Router.process_bytes"; "Router.process_view"; "Gateway.send_bytes";
-      "Sharded_gateway.send_bytes"; "Sharded_router.process_bytes";
       "Ofd.observe"; "Token_bucket.admit"; "Duplicate_filter.check_and_insert";
       "Blocklist.is_blocked";
     ]
@@ -230,7 +229,7 @@ let attrs_allowed (attrs : Parsetree.attributes) : SS.t =
 (* ------------------------------ graph ------------------------------ *)
 
 type node = {
-  n_name : string; (* canonical, e.g. "Dataplane_shard.Sharded_router.process_bytes" *)
+  n_name : string; (* canonical, e.g. "Dataplane_shard.Parallel_router.submit" *)
   n_file : string; (* pos_fname as recorded by the compiler *)
   n_line : int;
   n_vb : value_binding;
@@ -319,7 +318,7 @@ let spine_of (e : expression) : expression list =
 
 (* Collect the top-level value bindings of a structure, descending
    into nested (and constrained) modules so shard workers like
-   [Dataplane_shard.Sharded_router.process_bytes] become nodes. *)
+   [Dataplane_shard.Parallel_router.submit] become nodes. *)
 let collect_nodes (ctx : ctx) ~(m_name : string) (str : structure) :
     node list * (string, string) Hashtbl.t =
   let idents = Hashtbl.create 32 in
@@ -597,7 +596,7 @@ let d5_node (ctx : ctx) (node : node) ~(emit : Finding.t -> unit) : unit =
 (* ------------------------- closure + report ------------------------ *)
 
 (* Name map: every node under its full name plus dotted suffixes of
-   length >= 2, so [Sharded_router.process_bytes] resolves whether the
+   length >= 2, so [Parallel_router.submit] resolves whether the
    caller sits inside or outside [Dataplane_shard]. Ambiguous
    suffixes resolve to no node at all. *)
 let build_resolver (mods : modul list) : (string, node option) Hashtbl.t =
@@ -696,6 +695,8 @@ type scan_result = {
       (* (file, line, global) of every D4 finding, suppressed or not —
          [colibri-domaincheck] drops its D6/D7 findings at these keys
          so the two analyzers never double-report one access. *)
+  sr_unmatched_roots : string list;
+      (* [named_hot_roots] entries that marked no scanned node *)
 }
 
 let scan_ex (dirs : string list) : scan_result =
@@ -712,6 +713,7 @@ let scan_ex (dirs : string list) : scan_result =
       loaded
   in
   (* Hot roots: marker-adjacent bindings plus the named observe path. *)
+  let matched_roots = ref SS.empty in
   List.iter
     (fun m ->
       List.iter
@@ -722,13 +724,14 @@ let scan_ex (dirs : string list) : scan_result =
             | Some lines -> List.exists (fun l -> node.n_line - l >= 1 && node.n_line - l <= 3) lines
           in
           let named =
-            SS.mem node.n_name named_hot_roots
-            ||
-            match List.rev (String.split_on_char '.' node.n_name) with
-            | f :: m :: _ -> SS.mem (m ^ "." ^ f) named_hot_roots
-            | _ -> false
+            if SS.mem node.n_name named_hot_roots then Some node.n_name
+            else
+              match List.rev (String.split_on_char '.' node.n_name) with
+              | f :: m :: _ when SS.mem (m ^ "." ^ f) named_hot_roots -> Some (m ^ "." ^ f)
+              | _ -> None
           in
-          if near_marker || named then node.n_hot <- true)
+          Option.iter (fun r -> matched_roots := SS.add r !matched_roots) named;
+          if near_marker || named <> None then node.n_hot <- true)
         m.m_nodes)
     mods;
   (* Pass 2: per-node facts; D3/D5 emit directly. *)
@@ -833,6 +836,7 @@ let scan_ex (dirs : string list) : scan_result =
     sr_findings = List.sort Finding.order !findings;
     sr_scanned = List.length loaded;
     sr_d4_keys = List.rev !d4_keys;
+    sr_unmatched_roots = SS.elements (SS.diff named_hot_roots !matched_roots);
   }
 
 let scan (dirs : string list) : Finding.t list * int =

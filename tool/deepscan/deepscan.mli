@@ -94,6 +94,10 @@ type scan_result = {
       (** [(file, line, global)] of every D4 finding; domaincheck
           drops its D6/D7 findings at these keys so one access is
           never reported by both analyzers. *)
+  sr_unmatched_roots : string list;
+      (** Entries of the named hot-root list that marked no scanned
+          node: after a rename or deletion such an entry silently
+          stops rooting the d1/d2 checks. *)
 }
 
 val scan_ex : string list -> scan_result

@@ -5,7 +5,7 @@
     an untrusted AS. This pass reads the [.cmt] typedtrees (same
     loading and name-canonicalization layer as [colibri-deepscan]) and
     tracks wire-derived values — the results of the {!Packet.View}
-    accessors, [Packet.of_bytes] record fields, [Ids.asn_of_bytes],
+    accessors, the [Packet] record codecs, [Ids.asn_of_bytes],
     [Path.hop_of_bytes]/[of_bytes] and raw [Bytes.get_*] reads — to
     four sink families:
 
@@ -59,7 +59,7 @@ let rule_names = [ "w1"; "w2"; "w3"; "w4" ]
 let source_calls =
   SS.of_list
     [
-      "Packet.of_bytes"; "Packet.res_info_of_bytes"; "Packet.eer_info_of_bytes";
+      "Packet.res_info_of_bytes"; "Packet.eer_info_of_bytes";
       "Ids.asn_of_bytes"; "Path.hop_of_bytes"; "Path.of_bytes";
       "Wire.get16"; "Wire.get32"; "Wire.get64";
       "Bytes.get"; "Bytes.unsafe_get"; "Bytes.get_uint8"; "Bytes.get_int8";
